@@ -329,51 +329,63 @@ func BenchmarkLaneSet(b *testing.B) {
 }
 
 // BenchmarkLaneBatch compares the two frame-level encode paths on an
-// 8-lane bus carrying 64-beat bursts: serial (one Stream.Transmit per
-// lane, wire images built) and batch (one LaneSet.TransmitBatch per frame
-// — struct-of-arrays lanes, word-packed masks, no wire images). The batch
-// path is the serving tier's frame loop; ns/burst is the per-lane figure
-// to compare between the sub-benchmarks. Both paths allocate nothing in
-// steady state.
+// 8-lane bus: serial (one Stream.Transmit per lane, wire images built) and
+// batch (one LaneSet.TransmitBatch per frame — struct-of-arrays lanes,
+// word-packed masks, no wire images). The batch path is the serving tier's
+// frame loop; ns/burst is the per-lane figure to compare between the
+// sub-benchmarks. The main set runs 64-beat bursts; OPT-FIXED also runs at
+// the native 8 beats (beats=8), where the batch path must stay on the fused
+// BL8 kernel — a fallback to the per-lane driver shows here as a step
+// change. Both paths allocate nothing in steady state.
 func BenchmarkLaneBatch(b *testing.B) {
-	const lanes, frames, beats = 8, 256, 64
-	src := trace.NewUniform(5)
-	workload := make([]dbiopt.Frame, frames)
-	for i := range workload {
-		f := make(dbiopt.Frame, lanes)
-		for l := range f {
-			f[l] = dbiopt.Burst(src.Next(beats))
+	const lanes, frames = 8, 256
+	workload := func(beats int) []dbiopt.Frame {
+		src := trace.NewUniform(5)
+		w := make([]dbiopt.Frame, frames)
+		for i := range w {
+			f := make(dbiopt.Frame, lanes)
+			for l := range f {
+				f[l] = dbiopt.Burst(src.Next(beats))
+			}
+			w[i] = f
 		}
-		workload[i] = f
+		return w
 	}
+	run := func(b *testing.B, enc dbiopt.Encoder, beats int, work []dbiopt.Frame) {
+		b.Run("serial", func(b *testing.B) {
+			ls := dbiopt.NewLaneSet(enc, lanes)
+			b.SetBytes(int64(lanes * beats))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ls.Transmit(work[i%frames])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/burst")
+		})
+		b.Run("batch", func(b *testing.B) {
+			ls := dbiopt.NewLaneSet(enc, lanes)
+			b.SetBytes(int64(lanes * beats))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ls.TransmitBatch(work[i%frames])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/burst")
+		})
+	}
+	wide := workload(64)
 	for _, name := range []string{"DC", "ACDC", "GREEDY", "OPT-FIXED"} {
 		enc, err := dbiopt.NewEncoder(name, dbiopt.Weights{Alpha: 1, Beta: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name+"/serial", func(b *testing.B) {
-			ls := dbiopt.NewLaneSet(enc, lanes)
-			b.SetBytes(int64(lanes * beats))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ls.Transmit(workload[i%frames])
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/burst")
-		})
-		b.Run(name+"/batch", func(b *testing.B) {
-			ls := dbiopt.NewLaneSet(enc, lanes)
-			b.SetBytes(int64(lanes * beats))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ls.TransmitBatch(workload[i%frames])
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/burst")
-		})
+		b.Run(name, func(b *testing.B) { run(b, enc, 64, wide) })
 	}
+	b.Run("OPT-FIXED/beats=8", func(b *testing.B) {
+		run(b, dbiopt.OptFixed(), dbiopt.BurstLength, workload(dbiopt.BurstLength))
+	})
 }
 
 // BenchmarkWideMask measures Stream.Transmit past the single-word mask
@@ -436,9 +448,9 @@ func BenchmarkPipeline(b *testing.B) {
 
 // startLoopbackServer boots a dbiserve instance on an ephemeral loopback
 // port for the serving benchmarks.
-func startLoopbackServer(b *testing.B, workers int) *dbiopt.Server {
+func startLoopbackServer(b *testing.B) *dbiopt.Server {
 	b.Helper()
-	srv, err := dbiopt.Serve(dbiopt.ServerConfig{Addr: "127.0.0.1:0", Workers: workers})
+	srv, err := dbiopt.Serve(dbiopt.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -456,7 +468,7 @@ func startLoopbackServer(b *testing.B, workers int) *dbiopt.Server {
 func BenchmarkServeFrame(b *testing.B) {
 	for _, lanes := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			srv := startLoopbackServer(b, 0)
+			srv := startLoopbackServer(b)
 			c, err := dbiopt.Dial(srv.Addr().String(), dbiopt.SessionConfig{
 				Scheme: "OPT-FIXED", Lanes: lanes, Beats: dbiopt.BurstLength,
 			})
@@ -480,33 +492,30 @@ func BenchmarkServeFrame(b *testing.B) {
 }
 
 // BenchmarkServeBatch measures the batched serving path: whole traces per
-// message, encoded through the server's lane-sharded pipeline. This is the
-// throughput shape a memory-trace processing service would run.
+// message, parsed in place and encoded frame by frame on the connection
+// goroutine through the session's lane set. This is the throughput shape a
+// memory-trace processing service would run.
 func BenchmarkServeBatch(b *testing.B) {
 	const lanes, frames = 8, 256
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			srv := startLoopbackServer(b, workers)
-			c, err := dbiopt.Dial(srv.Addr().String(), dbiopt.SessionConfig{
-				Scheme: "OPT-FIXED", Lanes: lanes, Beats: dbiopt.BurstLength,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			workload := pipelineWorkload(lanes, frames)
-			b.SetBytes(int64(lanes * dbiopt.BurstLength * frames))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.EncodeBatch(workload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes*frames), "ns/burst")
-		})
+	srv := startLoopbackServer(b)
+	c, err := dbiopt.Dial(srv.Addr().String(), dbiopt.SessionConfig{
+		Scheme: "OPT-FIXED", Lanes: lanes, Beats: dbiopt.BurstLength,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer c.Close()
+	workload := pipelineWorkload(lanes, frames)
+	b.SetBytes(int64(lanes * dbiopt.BurstLength * frames))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.EncodeBatch(workload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes*frames), "ns/burst")
 }
 
 // BenchmarkHardwareSim measures one gate-level evaluation of the Fig. 5

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dbiserve [-addr 127.0.0.1:8421] [-scheme OPT-FIXED] [-workers 0]
+//	dbiserve [-addr 127.0.0.1:8421] [-scheme OPT-FIXED]
 //	         [-max-conns 64] [-max-sessions 1048576] [-metrics-every 0]
 //	         [-metrics-addr host:port]
 //	         [-idle-timeout 0] [-write-timeout 0] [-shed] [-park-timeout 0]
@@ -15,9 +15,9 @@
 // Clients pick their own scheme, weights and bus geometry per session at
 // handshake time (see DESIGN.md §6 for the protocol); -scheme and
 // -alpha/-beta only set the defaults used when a session requests none.
-// -scheme help lists the registered names. Batch messages fan out across
-// -workers goroutines through the lane-sharded pipeline; -max-conns bounds
-// the concurrently served connections (excess connections queue in the
+// -scheme help lists the registered names. Batch messages are parsed in
+// place and encoded frame by frame on their connection's goroutine, like
+// single frames; -max-conns bounds the concurrently served connections (excess connections queue in the
 // kernel backlog — the connection-level backpressure contract), and
 // -max-sessions bounds the logical sessions across all of them: protocol
 // v3 clients multiplex thousands of sessions onto one connection, so the
@@ -82,8 +82,6 @@ func run() error {
 	scheme := flag.String("scheme", server.DefaultScheme, "default scheme for sessions that request none, from the dbi registry; 'help' lists names")
 	alpha := flag.Float64("alpha", 1, "default transition weight for weighted schemes")
 	beta := flag.Float64("beta", 1, "default zero weight for weighted schemes")
-	workers := flag.Int("workers", 0, "encoding goroutines per batch message; 0 = all cores (results are identical for any value)")
-	chunk := flag.Int("chunk", 0, "frames per pipeline batch hand-off; 0 = default")
 	maxConns := flag.Int("max-conns", server.DefaultMaxConns, "maximum concurrently served connections")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrently open logical sessions over all connections")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for Prometheus /metrics and /healthz (empty = no HTTP endpoint)")
@@ -115,8 +113,6 @@ func run() error {
 		Scheme:          *scheme,
 		Alpha:           *alpha,
 		Beta:            *beta,
-		Workers:         *workers,
-		ChunkFrames:     *chunk,
 		MaxConns:        *maxConns,
 		MaxSessions:     *maxSessions,
 		MetricsAddr:     *metricsAddr,

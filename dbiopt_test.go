@@ -154,7 +154,7 @@ func TestFacadePipeline(t *testing.T) {
 // instance, Dial a session, and check the served wire images and totals
 // against a local LaneSet with the same scheme.
 func TestFacadeServe(t *testing.T) {
-	srv, err := Serve(ServerConfig{Addr: "127.0.0.1:0", Workers: 2})
+	srv, err := Serve(ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,7 @@ import (
 
 func main() {
 	// Start a server on an ephemeral loopback port. The zero-ish config
-	// serves OPT-FIXED to sessions that do not pick a scheme; -workers 0
-	// fans batch messages out across all cores.
+	// serves OPT-FIXED to sessions that do not pick a scheme.
 	srv, err := dbiopt.Serve(dbiopt.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		panic(err)
@@ -64,8 +63,8 @@ func main() {
 	}
 
 	// The second half of the workload goes up as one batch message; the
-	// server replays it through the lane-sharded pipeline onto the same
-	// per-lane state the single frames advanced.
+	// server replays it frame by frame onto the same per-lane state the
+	// single frames advanced.
 	if _, err := opt.EncodeBatch(workload[frames/2:]); err != nil {
 		panic(err)
 	}

@@ -48,11 +48,12 @@ func checkBatchAgainstSerial(t *testing.T, label string, ref, got *LaneSet, fram
 // TestLaneBatchMatchesSerial pins the batch contract for every registered
 // scheme: TransmitBatch over a multi-frame workload is bit-identical to N
 // serial Stream.Transmit calls — native batch kernels, wide per-lane
-// fallback and []bool fallback alike — at burst lengths on both sides of
-// the single-word and inline bounds.
+// fallback and []bool fallback alike — at the native BL8 (the fused
+// OPT-FIXED batch kernel) and at burst lengths on both sides of the
+// single-word and inline bounds.
 func TestLaneBatchMatchesSerial(t *testing.T) {
 	const lanes = 11 // odd: exercises the 8-lane interleave remainder
-	for _, beats := range []int{16, 64, 65, 128, 256, 300} {
+	for _, beats := range []int{8, 16, 64, 65, 128, 256, 300} {
 		for _, name := range Names() {
 			enc, err := New(name, FixedWeights)
 			if err != nil {

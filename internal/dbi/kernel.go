@@ -66,10 +66,13 @@ type Kernel struct {
 	// no interface dispatch and no per-burst re-decision.
 	mask  func(k *Kernel, prev bus.LineState, b bus.Burst) (bus.InvMask, bool)
 	words func(k *Kernel, prev bus.LineState, b bus.Burst, words []uint64) bool
+	// batch is the frame-level path; it may decline a batch (false), and
+	// the per-lane driver then runs instead.
 	batch func(k *Kernel, lb *LaneBatch) bool
 	// wire is the fully fused fast path: trellis, wire fill, cost and final
 	// state in one straight-line pass. Set only for unit-coefficient
-	// integer trellis schemes at the native burst length.
+	// integer trellis schemes, whose batch path is the same fused core;
+	// both apply at the native burst length only.
 	wire func(k *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus.Cost, bus.LineState)
 
 	// Generic-fallback bindings: the old interface fast paths, probed once
@@ -216,7 +219,7 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 			k.ia, k.ib, k.intOK = ia, ib, true
 			k.mask, k.words = maskOptIntK, wordsOptIntK
 			if ia == 1 && ib == 1 {
-				k.wire = wireOptUnit8K
+				k.wire, k.batch = wireOptUnit8K, batchOptUnit8K
 			}
 		} else {
 			k.mask, k.words = maskOptFloatK, wordsOptFloatK
@@ -226,7 +229,7 @@ func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 		k.ia, k.ib, k.intOK = int64(e.Alpha), int64(e.Beta), true
 		k.mask, k.words = maskOptIntK, wordsQuantIntK
 		if k.ia == 1 && k.ib == 1 {
-			k.wire = wireOptUnit8K
+			k.wire, k.batch = wireOptUnit8K, batchOptUnit8K
 		}
 	case Exhaustive:
 		k.weights = e.Weights
@@ -674,23 +677,26 @@ func popBytes(w uint64) uint64 {
 	return (v + v>>4) & 0x0f0f0f0f0f0f0f0f
 }
 
-// wireOptUnit8K is the fully fused OPT trellis for unit coefficients
-// (alpha = beta = 1, the paper's OPT-FIXED hardware) at the native BL8
-// burst length: per-byte SWAR popcounts feed a manually unrolled
-// forward-mask trellis (no backtrack — each beat's branch-free select
-// carries both candidate masks forward in registers), the winning mask
-// expands into the wire image with the bit-smear multiply, and the cost and
-// final state fall out of two popcounts. One straight-line pass, no memory
-// traffic beyond the 8 payload bytes and the wire scratch. Bit-identical to
-// trellisMaskInt + FillMaskCost + FinalState, including tie-breaking
-// (pinned by FuzzKernelEquivalence and TestKernelFusedMatchesMaskPath).
+// optUnit8 is the fully fused OPT trellis for unit coefficients (alpha =
+// beta = 1, the paper's OPT-FIXED hardware) at the native BL8 burst length,
+// in mask form: w8 is the burst's 8 payload bytes as one little-endian
+// word, and the result is the inversion mask (bit t set = beat t inverted)
+// with the burst's exact cost and final state. Per-byte SWAR popcounts feed
+// a manually unrolled forward-mask trellis (no backtrack — each beat's
+// branch-free select carries both candidate masks forward in registers),
+// and the cost and final state fall out of two popcounts over the inverted
+// wire word. One straight-line pass with no memory traffic at all.
+// Bit-identical to trellisMaskInt + MaskCost + MaskFinalState, including
+// tie-breaking (pinned by TestOptUnit8MatchesTrellis and
+// FuzzKernelEquivalence). The Stream path wraps it with the wire
+// expansion (wireOptUnit8K), the batch path with the LaneBatch fill
+// (batchOptUnit8K).
 //
 // The unroll is deliberate: the loop form spills the two mask registers to
 // the stack on every iteration, costing ~30% of the whole kernel.
 //
 //dbi:hotpath
-func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus.Cost, bus.LineState) {
-	w8 := binary.LittleEndian.Uint64(b)
+func optUnit8(prev bus.LineState, w8 uint64) (g uint64, c bus.Cost, next bus.LineState) {
 	pv := popBytes(w8)
 	yv := popBytes(w8 ^ (w8<<8 | uint64(prev.Data)))
 
@@ -814,30 +820,8 @@ func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus
 	if ci < cp {
 		m = mi
 	}
-	g := m & 0xff
-	// Smear each decision bit across its wire byte and apply: the same
-	// expansion bus.expandMaskBits uses, fused with the XOR.
-	x := g * 0x0101010101010101 & 0x8040201008040201
-	x = (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080
-	wi := w8 ^ x>>7*0xff
-	if cap(w.Data) < 8 {
-		w.Data = make([]byte, 8) //dbi:allow-escape wire scratch growth on first use, amortized across bursts
-	}
-	w.Data = w.Data[:8]
-	binary.LittleEndian.PutUint64(w.Data, wi)
-	if cap(w.DBI) < 8 {
-		w.DBI = make([]bool, 8) //dbi:allow-escape wire scratch growth on first use, amortized across bursts
-	}
-	dbi := w.DBI[:8]
-	dbi[0] = g&1 == 0
-	dbi[1] = g>>1&1 == 0
-	dbi[2] = g>>2&1 == 0
-	dbi[3] = g>>3&1 == 0
-	dbi[4] = g>>4&1 == 0
-	dbi[5] = g>>5&1 == 0
-	dbi[6] = g>>6&1 == 0
-	dbi[7] = g>>7&1 == 0
-	w.DBI = dbi
+	g = m & 0xff
+	wi := w8 ^ invertBytes(g)
 	// Exact accounting from two popcounts: DQ zeros are the cleared bits of
 	// the inverted wire word, the DBI wire contributes one zero per
 	// inverted beat (the wire idles high) and toggles where consecutive
@@ -846,8 +830,68 @@ func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus
 	if !prev.DBI {
 		carry = 1
 	}
-	var c bus.Cost
 	c.Zeros = bits.OnesCount64(g) + 64 - bits.OnesCount64(wi)
 	c.Transitions = bits.OnesCount64((g^(g<<1|carry))&0xff) + bits.OnesCount64(wi^(wi<<8|uint64(prev.Data)))
-	return c, bus.LineState{Data: byte(wi >> 56), DBI: g>>7&1 == 0}
+	return g, c, bus.LineState{Data: byte(wi >> 56), DBI: g>>7&1 == 0}
+}
+
+// invertBytes expands an 8-beat inversion mask into the XOR word that
+// applies it to a little-endian burst word: byte t is 0xff where bit t of g
+// is set. It smears each decision bit across its byte — the same expansion
+// bus.expandMaskBits uses.
+//
+//dbi:hotpath
+func invertBytes(g uint64) uint64 {
+	x := g * 0x0101010101010101 & 0x8040201008040201
+	x = (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080
+	return x >> 7 * 0xff
+}
+
+// wireOptUnit8K is optUnit8 plus the wire fill: the Stream path's fused
+// kernel for unit-coefficient trellis schemes at BL8. The scratch is sized
+// before the core runs, so the core's results stay in registers through
+// the fill.
+//
+//dbi:hotpath
+func wireOptUnit8K(_ *Kernel, w *bus.Wire, prev bus.LineState, b bus.Burst) (bus.Cost, bus.LineState) {
+	if cap(w.Data) < 8 {
+		w.Data = make([]byte, 8) //dbi:allow-escape wire scratch growth on first use, amortized across bursts
+	}
+	if cap(w.DBI) < 8 {
+		w.DBI = make([]bool, 8) //dbi:allow-escape wire scratch growth on first use, amortized across bursts
+	}
+	data, dbi := w.Data[:8], w.DBI[:8]
+	w.Data, w.DBI = data, dbi
+	w8 := binary.LittleEndian.Uint64(b)
+	g, c, next := optUnit8(prev, w8)
+	binary.LittleEndian.PutUint64(data, w8^invertBytes(g))
+	dbi[0] = g&1 == 0
+	dbi[1] = g>>1&1 == 0
+	dbi[2] = g>>2&1 == 0
+	dbi[3] = g>>3&1 == 0
+	dbi[4] = g>>4&1 == 0
+	dbi[5] = g>>5&1 == 0
+	dbi[6] = g>>6&1 == 0
+	dbi[7] = g>>7&1 == 0
+	return c, next
+}
+
+// batchOptUnit8K is optUnit8 over every lane of a BL8 batch, writing each
+// lane's mask word, cost and next state straight into the batch (one mask
+// word per lane at 8 beats) and marking it settled. Any other burst length
+// declines to the per-lane driver: the choice depends on the batch's
+// geometry alone.
+//
+//dbi:hotpath
+func batchOptUnit8K(_ *Kernel, lb *LaneBatch) bool {
+	if lb.beats != bus.BurstLength {
+		return false
+	}
+	data := lb.data
+	masks, costs, next := lb.masks[:lb.lanes], lb.costs[:lb.lanes], lb.next[:lb.lanes]
+	for l, prev := range lb.prev[:lb.lanes] {
+		masks[l], costs[l], next[l] = optUnit8(prev, binary.LittleEndian.Uint64(data[l*8:]))
+	}
+	lb.settled = true
+	return true
 }

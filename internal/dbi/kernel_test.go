@@ -1,7 +1,10 @@
 package dbi
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbiopt/internal/bus"
@@ -46,7 +49,9 @@ func init() {
 // probe — and arbitrary payloads, prior states, burst lengths (narrow and
 // wide) and weight regimes, every kernel entry point (EncodeMask,
 // EncodeMaskWords, Advance, and the Stream transmit path) must agree bit
-// for bit with the scheme's own EncodeInto oracle.
+// for bit with the scheme's own EncodeInto oracle. EncodeBatch is held to
+// the same oracle on 1-3-lane batches whose lanes differ in prior state and
+// payload: every lane's mask words, cost and next state.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{0x8E, 0x86, 0x96, 0xE9, 0x7D, 0xB7, 0x57, 0xC4}, byte(0xFF), true, uint8(1), uint8(1), uint16(8))
 	f.Add([]byte{}, byte(0), false, uint8(3), uint8(5), uint16(0))
@@ -119,9 +124,46 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if st.TotalCost() != wantC {
 					t.Fatalf("%s w=%+v n=%d: stream cost %+v != oracle %+v", name, w, n, st.TotalCost(), wantC)
 				}
+				if kern.Stateless() {
+					checkBatchOracle(t, kern, oracle, prev, b, int(rawN)%3+1)
+				}
 			}
 		}
 	})
+}
+
+// checkBatchOracle encodes a lanes-lane batch through kern.EncodeBatch and
+// holds every lane to oracle's EncodeInto. Lane l carries b with every byte
+// rotated left by l bits, from prev with the data line rotated likewise and
+// the DBI line flipped on odd lanes, so lanes differ in both payload and
+// prior state.
+func checkBatchOracle(t *testing.T, kern *Kernel, oracle Encoder, prev bus.LineState, b bus.Burst, lanes int) {
+	t.Helper()
+	n := len(b)
+	var lb LaneBatch
+	lb.Reset(lanes, n)
+	for l := 0; l < lanes; l++ {
+		lp := bus.LineState{Data: bits.RotateLeft8(prev.Data, l), DBI: prev.DBI != (l%2 == 1)}
+		lb.SetPrev(l, lp)
+		for i, v := range b {
+			lb.data[l*n+i] = bits.RotateLeft8(v, l)
+		}
+	}
+	kern.EncodeBatch(&lb)
+	for l := 0; l < lanes; l++ {
+		lp, lbst := lb.Prev(l), lb.Lane(l)
+		inv := oracle.Encode(lp, lbst)
+		var want bus.WideMask
+		want.FromBools(inv)
+		if !slices.Equal(lb.MaskWords(l), want.Words()) {
+			t.Fatalf("%s n=%d lane %d/%d: batch mask words %x != oracle %x", kern.Name(), n, l, lanes, lb.MaskWords(l), want.Words())
+		}
+		wire := bus.Apply(lbst, inv)
+		if c, st := wire.Cost(lp), wire.FinalState(lp); lb.Cost(l) != c || lb.Next(l) != st {
+			t.Fatalf("%s n=%d lane %d/%d: batch (%+v, %+v), oracle (%+v, %+v)",
+				kern.Name(), n, l, lanes, lb.Cost(l), lb.Next(l), c, st)
+		}
+	}
 }
 
 // TestThirdPartyKernelParity pins the generic fallback kernel: a scheme the
@@ -263,5 +305,47 @@ func TestKernelZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state wide Advance allocates %.2f times per burst, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestOptUnit8MatchesTrellis pins the fused BL8 core that both the Stream
+// wire kernel and the batch kernel wrap: over every prior line state and
+// a deterministic sweep of payloads — random bytes plus the tie-heavy
+// periodic and constant patterns — its mask, cost and final state equal
+// the integer trellis's mask priced by bus.MaskCost and MaskFinalState.
+func TestOptUnit8MatchesTrellis(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	bursts := []bus.Burst{
+		{0, 0, 0, 0, 0, 0, 0, 0},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		{0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa},
+		{0x0f, 0xf0, 0x0f, 0xf0, 0x0f, 0xf0, 0x0f, 0xf0},
+		{0x8E, 0x86, 0x96, 0xE9, 0x7D, 0xB7, 0x57, 0xC4},
+	}
+	for i := 0; i < 2000; i++ {
+		b := make(bus.Burst, bus.BurstLength)
+		rng.Read(b)
+		if i%4 == 0 {
+			// Balanced bytes (four ones) make the trellis branches tie.
+			for j := range b {
+				b[j] = []byte{0x0f, 0x33, 0x55, 0x69, 0x96, 0xaa, 0xcc, 0xf0}[rng.Intn(8)]
+			}
+		}
+		bursts = append(bursts, b)
+	}
+	for _, b := range bursts {
+		for d := 0; d < 256; d++ {
+			for _, dbiLine := range []bool{false, true} {
+				prev := bus.LineState{Data: byte(d), DBI: dbiLine}
+				want := trellisMaskInt(prev, b, 1, 1)
+				g, c, next := optUnit8(prev, binary.LittleEndian.Uint64(b))
+				if bus.InvMask(g) != want {
+					t.Fatalf("%v from %+v: mask %08b, trellis %08b", b, prev, g, want)
+				}
+				if wc, ws := bus.MaskCost(prev, b, want), bus.MaskFinalState(prev, b, want); c != wc || next != ws {
+					t.Fatalf("%v from %+v: (%+v, %+v), trellis (%+v, %+v)", b, prev, c, next, wc, ws)
+				}
+			}
+		}
 	}
 }

@@ -183,10 +183,10 @@ func (p *Pipeline) Run(src FrameSource) (*PipelineResult, error) {
 // RunLanes consumes src to io.EOF, encoding every frame into the per-lane
 // streams of an existing LaneSet instead of fresh ones. The lane set keeps
 // its wire state and accumulated totals across calls, so successive batches
-// encode exactly as one long serial LaneSet replay would — this is what lets
-// a long-lived serving session interleave single-frame transmits
-// (LaneSet.Transmit) with pipelined batches over one continuous per-lane
-// state. The number of frames consumed from src is returned.
+// encode exactly as one long serial LaneSet replay would, so a caller may
+// interleave single-frame transmits (LaneSet.Transmit) with pipelined
+// batches over one continuous per-lane state. The number of frames consumed
+// from src is returned.
 //
 // The lane set's own policy decides the path: stateful encoders (and
 // single-worker pipelines) run serially in LaneSet evaluation order.

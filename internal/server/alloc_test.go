@@ -42,7 +42,6 @@ func newLoopConn(t testing.TB, srv *Server, cfg SessionConfig, mux bool, w io.Wr
 		cfg:       cfg,
 		scheme:    cfg.Scheme,
 		ls:        dbi.NewLaneSet(enc, cfg.Lanes),
-		pipe:      dbi.NewPipeline(enc, cfg.Lanes),
 		frameBuf:  make([]byte, cfg.Lanes*cfg.Beats),
 		frame:     make(bus.Frame, cfg.Lanes),
 		maskBuf:   make([]byte, cfg.Lanes*maskBytes(cfg.Beats)),
@@ -81,8 +80,9 @@ func frameMessage(t testing.TB, f bus.Frame, lanes, beats int, sid uint64) []byt
 	return msg
 }
 
-// runFrameAllocs replays pre-serialised frame messages through the
-// connection's dispatch path and returns AllocsPerRun over it.
+// runFrameAllocs replays pre-serialised frame or batch messages through
+// the connection's dispatch path, exactly as the message loops route them,
+// and returns AllocsPerRun over it.
 func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 	t.Helper()
 	br := bytes.NewReader(nil)
@@ -92,19 +92,75 @@ func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 		br.Reset(msgs[i%len(msgs)])
 		c.r.Reset(br)
 		typ, n, err := readHeader(c.r, &c.hdr)
-		if err != nil || typ != msgFrame {
-			t.Fatalf("header: %q %v", typ, err)
+		if err != nil {
+			t.Fatalf("header: %v", err)
 		}
-		if c.mux {
+		switch {
+		case typ == msgFrame && c.mux:
 			err = c.muxFrame(n)
-		} else {
+		case typ == msgFrame:
 			err = c.handleFrame(c.single, n)
+		case typ == msgBatch && c.mux:
+			err = c.muxTarget(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
+		case typ == msgBatch:
+			err = c.handleBatch(c.single, n)
+		default:
+			t.Fatalf("unexpected message type %q", typ)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
+}
+
+// batchMessage serialises one msgBatch carrying frames as a DBIT blob; sid
+// adds the mux session-id prefix when nonzero.
+func batchMessage(t testing.TB, frames []bus.Frame, beats int, sid uint64) []byte {
+	t.Helper()
+	blob, err := encodeTraceBlob(frames, beats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prefix []byte
+	if sid != 0 {
+		var sb [binary.MaxVarintLen64]byte
+		prefix = sb[:binary.PutUvarint(sb[:], sid)]
+	}
+	var hdr [5]byte
+	putHeader(&hdr, msgBatch, len(prefix)+len(blob))
+	msg := append([]byte(nil), hdr[:]...)
+	msg = append(msg, prefix...)
+	return append(msg, blob...)
+}
+
+// TestServeBatchZeroAlloc pins the in-place batch path: once warmed, a
+// session answering a 256-frame OPT-FIXED 8x8 batch — blob validation,
+// frame views, raw baseline, the fused BL8 batch kernel, metrics and the
+// totals reply — performs zero heap allocations per batch, on the
+// single-session and the mux path alike.
+func TestServeBatchZeroAlloc(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("allocation counts are skewed by -race instrumentation")
+	}
+	const lanes, beats, frames = 8, bus.BurstLength, 256
+	for _, mux := range []bool{false, true} {
+		srv, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, mux, io.Discard)
+		msgs := [][]byte{
+			batchMessage(t, randomFrames(61, frames, lanes, beats), beats, st.id),
+			batchMessage(t, randomFrames(62, frames, lanes, beats), beats, st.id),
+		}
+		if allocs := runFrameAllocs(t, c, msgs); allocs != 0 {
+			t.Errorf("mux=%v: steady-state batch path allocates %.1f times per batch, want 0", mux, allocs)
+		}
+		if st.totals.Frames%frames != 0 || st.totals.Frames == 0 || st.ls.TotalCost() == (Cost{}) {
+			t.Fatalf("mux=%v: batch work not done: %+v", mux, st.totals)
+		}
+	}
 }
 
 // TestServeFrameZeroAlloc pins the serving property the acceptance criteria

@@ -174,11 +174,12 @@ func (c *Client) EncodeFrame(f bus.Frame) ([]bus.Wire, error) {
 	return wires, nil
 }
 
-// EncodeBatch transmits a batch of frames through the server's sharded
-// pipeline and returns the session's cumulative totals afterwards. The
-// batch travels as one binary trace blob (the internal/trace format), lane
-// by lane in frame order, so it replays on the server exactly as
-// trace.FrameReader would replay it offline.
+// EncodeBatch transmits a batch of frames as one message and returns the
+// session's cumulative totals afterwards. The batch travels as one binary
+// trace blob (the internal/trace format), lane by lane in frame order; the
+// server validates it whole, then encodes it frame by frame through the
+// session's lane set, exactly as trace.FrameReader would replay it
+// offline.
 func (c *Client) EncodeBatch(frames []bus.Frame) (Totals, error) {
 	for i, f := range frames {
 		if f.Lanes() != c.cfg.Lanes {

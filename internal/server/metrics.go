@@ -99,7 +99,7 @@ func (m *metricsShard) notePanic() { m.panics.Add(1) }
 
 // noteEncode records one encode handler invocation: frames and bursts
 // processed, the activity deltas, and the time spent. batch distinguishes
-// pipelined batches from single-frame messages.
+// batch messages from single-frame messages.
 func (m *metricsShard) noteEncode(batch bool, frames, bursts, beats int, coded, raw Cost, d time.Duration) {
 	if batch {
 		m.batches.Add(1)

@@ -396,9 +396,9 @@ func (s *MuxSession) EncodeFrame(f bus.Frame) ([]bus.Wire, error) {
 	return wires, nil
 }
 
-// EncodeBatch transmits a batch of frames through the server's sharded
-// pipeline and returns the session's cumulative totals afterwards, exactly
-// as Client.EncodeBatch does.
+// EncodeBatch transmits a batch of frames as one message and returns the
+// session's cumulative totals afterwards, exactly as Client.EncodeBatch
+// does.
 func (s *MuxSession) EncodeBatch(frames []bus.Frame) (Totals, error) {
 	for i, f := range frames {
 		if f.Lanes() != s.cfg.Lanes {

@@ -24,7 +24,7 @@ import (
 func TestServeMuxEquivalence(t *testing.T) {
 	const sessions, lanes, beats = 100, 2, 8
 	schemes := []string{"OPT-FIXED", "DC", "AC", "ACDC", "GREEDY"}
-	s := startServer(t, Config{Workers: 2})
+	s := startServer(t, Config{})
 
 	mc, err := DialMux(s.Addr().String(), SessionConfig{Lanes: lanes, Beats: beats})
 	if err != nil {

@@ -2,7 +2,7 @@
 // service over TCP: clients open sessions, pick a coding scheme by registry
 // name, and stream framed bursts that the server encodes through persistent
 // per-lane wire state — the serving-side counterpart of the offline
-// Stream/LaneSet/Pipeline drivers, with bit-identical results.
+// Stream/LaneSet drivers, with bit-identical results.
 //
 // The wire protocol (DESIGN.md §6) deliberately reuses the vocabulary the
 // offline tools already speak:
@@ -15,8 +15,9 @@
 //     wire image, exactly as bus.Wire defines it;
 //   - batches travel as a complete binary trace blob (the internal/trace
 //     "DBIT" container, burst i → lane i%lanes exactly like
-//     trace.FrameReader), answered with cumulative activity totals; batches
-//     are encoded through the lane-sharded pipeline.
+//     trace.FrameReader), answered with cumulative activity totals; a batch
+//     is validated whole, then encoded frame by frame in place, through the
+//     same lane set as single frames.
 //
 // Protocol v3 adds multiplexed connections: with the mux handshake flag,
 // one socket carries thousands of logical sessions, each its own LaneSet
@@ -77,7 +78,7 @@ const (
 	// with the uvarint session id.
 	msgFrame = 'F'
 	// msgBatch carries a complete "DBIT" trace blob (internal/trace binary
-	// format); the server pipelines it and answers msgTotals. Mux: uvarint
+	// format); the server encodes it and answers msgTotals. Mux: uvarint
 	// session id prefix.
 	msgBatch = 'B'
 	// msgTotals requests the session's cumulative totals; answered with

@@ -58,7 +58,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			phaseFrames(6160, 96, lanes, beats, 32)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startServer(t, Config{Workers: 2})
+			s := startServer(t, Config{})
 
 			// Baseline: the same workload on an unbroken connection.
 			bc, err := DialMux(s.Addr().String(), SessionConfig{Lanes: lanes, Beats: beats})

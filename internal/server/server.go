@@ -36,13 +36,6 @@ type Config struct {
 	// Alpha and Beta are the default weights for sessions that send none
 	// (both zero in the handshake). Both zero here selects 1, 1.
 	Alpha, Beta float64
-	// Workers caps the goroutines a batch message may fan out to; <= 0
-	// selects GOMAXPROCS per batch (the pipeline's convention). Single
-	// frames always encode on the session goroutine.
-	Workers int
-	// ChunkFrames is the pipeline batching granularity; <= 0 selects
-	// dbi.DefaultChunkFrames.
-	ChunkFrames int
 	// MaxConns caps the concurrently served connections; <= 0 selects
 	// DefaultMaxConns. Connections beyond the cap are not accepted until
 	// one ends — they queue in the kernel backlog, which is the

@@ -91,7 +91,7 @@ func replayOffline(t *testing.T, scheme string, w dbi.Weights, frames []bus.Fram
 // equals an offline RAW replay.
 func TestServeEquivalence(t *testing.T) {
 	const lanes, beats, frames = 4, 8, 36
-	s := startServer(t, Config{Workers: 3})
+	s := startServer(t, Config{})
 	fs := randomFrames(1, frames, lanes, beats)
 
 	c, err := Dial(s.Addr().String(), SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats})
@@ -151,7 +151,7 @@ func TestServeEquivalence(t *testing.T) {
 // parallel; every session's totals must match its own offline replay, which
 // also proves sessions do not share encode state.
 func TestServeConcurrentSessionsMixedSchemes(t *testing.T) {
-	s := startServer(t, Config{Workers: 2})
+	s := startServer(t, Config{})
 	type job struct {
 		scheme      string
 		alpha, beta float64
@@ -325,6 +325,75 @@ func TestServeBatchBeatsMismatch(t *testing.T) {
 	}
 	if _, err := c.EncodeTrace(blob); err == nil || !strings.Contains(err.Error(), "beats per burst") {
 		t.Fatalf("beat mismatch not refused: %v", err)
+	}
+}
+
+// TestServeMalformedBatchIsSessionScoped: a truncated batch blob on one mux
+// session is refused before any lane state moves. The error reaches that
+// session alone, every other session on the connection keeps serving, and
+// the failed session's totals and wire state are exactly as before — its
+// next frame encodes as if the batch had never been sent.
+func TestServeMalformedBatchIsSessionScoped(t *testing.T) {
+	const lanes, beats = 2, 8
+	s := startServer(t, Config{})
+	mc, err := DialMux(s.Addr().String(), SessionConfig{Lanes: lanes, Beats: beats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	cfg := SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}
+	a, err := mc.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mc.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := randomFrames(77, 6, lanes, beats)
+	for _, f := range fs[:3] {
+		if _, err := a.EncodeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := a.Totals()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Five whole frames and then half a burst: the reader would have
+	// encoded the whole frames before meeting the truncation.
+	blob, err := encodeTraceBlob(randomFrames(78, 5, lanes, beats), beats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = append(blob, 1, 2, 3, 4)
+	if _, err := a.EncodeTrace(blob); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated batch: err = %v, want a truncation error", err)
+	}
+
+	if _, err := b.EncodeFrame(fs[0]); err != nil {
+		t.Fatalf("other session broken by a malformed batch: %v", err)
+	}
+	after, err := a.Totals()
+	if err != nil {
+		t.Fatalf("failed session no longer serves: %v", err)
+	}
+	if after != before {
+		t.Fatalf("malformed batch moved the session totals: %+v -> %+v", before, after)
+	}
+	ref := replayOffline(t, "OPT-FIXED", dbi.FixedWeights, fs[:3], lanes)
+	for _, f := range fs[3:] {
+		got, err := a.EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Transmit(f)
+		for l := range want {
+			if !reflect.DeepEqual(got[l], want[l]) {
+				t.Fatalf("lane %d after the refused batch: served %+v, offline %+v", l, got[l], want[l])
+			}
+		}
 	}
 }
 
@@ -514,7 +583,7 @@ func offlineAdaptive(t *testing.T, cfg SessionConfig, lanes int) *dbi.LaneSet {
 // exactly the switches the offline controllers performed.
 func TestServeAdaptiveEquivalence(t *testing.T) {
 	const lanes, beats, frames, period = 2, 8, 1536, 256
-	s := startServer(t, Config{Workers: 3})
+	s := startServer(t, Config{})
 	cfg := adaptSession(lanes, beats)
 	fs := phaseFrames(31, frames, lanes, beats, period)
 

@@ -11,7 +11,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"dbiopt/internal/adapt"
@@ -62,13 +61,15 @@ type conn struct {
 	// message loop is single-goroutine, so one set suffices: hdr is the
 	// header, sidBuf the session-id prefix of mux replies, totalsBuf the
 	// serialised Totals, noticeBuf the switch/open-reply serialisation
-	// scratch, batchBuf the (grown on demand) payload buffer of the
-	// non-hot messages.
-	hdr       [5]byte
-	sidBuf    [binary.MaxVarintLen64]byte
-	totalsBuf [totalsLen]byte
-	noticeBuf []byte
-	batchBuf  []byte
+	// scratch, batchBuf the (grown on demand) payload buffer of batches and
+	// the non-hot messages, batchFrame the frame of views into batchBuf a
+	// batch encodes through (grown to the widest session's lane count).
+	hdr        [5]byte
+	sidBuf     [binary.MaxVarintLen64]byte
+	totalsBuf  [totalsLen]byte
+	noticeBuf  []byte
+	batchBuf   []byte
+	batchFrame bus.Frame
 }
 
 // sessState is one logical session: the resolved scheme, the persistent
@@ -80,7 +81,6 @@ type sessState struct {
 	cfg    SessionConfig // resolved geometry and weights
 	scheme string        // resolved registry name
 	ls     *dbi.LaneSet  // the session's per-lane streams — all encode state
-	pipe   *dbi.Pipeline // sharded driver for batch messages, over ls
 
 	// frame aliases frameBuf lane by lane, so refilling frameBuf refills
 	// the frame; maskBuf holds the packed reply.
@@ -98,11 +98,9 @@ type sessState struct {
 	rawPrev   Cost
 
 	// Adaptive sessions queue their controllers' switch records here (the
-	// OnSwitch hook runs on the session goroutine for single frames and on
-	// pipeline workers for batches, hence the mutex) and flush them as
-	// SWITCH notices immediately before the next reply.
+	// OnSwitch hook runs on the connection goroutine, inside the encode)
+	// and flush them as SWITCH notices immediately before the next reply.
 	adaptive bool
-	switchMu sync.Mutex
 	pending  []SwitchNote
 	switches int
 
@@ -269,16 +267,14 @@ func (c *conn) newSessState(sid uint64, cfg SessionConfig) (*sessState, error) {
 		}
 		st.ls = dbi.NewAdaptiveLaneSet(mk, cfg.Lanes)
 		st.scheme = adaptiveSchemeName(st.ls.Lane(0).Adapter().(*adapt.Controller).Candidates())
-		st.pipe = dbi.NewPipeline(st.ls.Lane(0).Encoder(), cfg.Lanes,
-			dbi.WithWorkers(srv.cfg.Workers), dbi.WithChunkFrames(srv.cfg.ChunkFrames))
 	} else {
 		scheme := cfg.Scheme
 		if scheme == "" {
 			scheme = srv.cfg.Scheme
 		}
-		// The session's triple compiles (and is cached) once here: lane set
-		// and pipeline share the kernel, so the frame and batch paths bind
-		// their encode routing at session setup, not per frame.
+		// The session's triple compiles (and is cached) once here, so the
+		// frame and batch paths bind their encode routing at session
+		// setup, not per frame.
 		kern, err := dbi.LookupKernel(scheme,
 			dbi.Weights{Alpha: cfg.Alpha, Beta: cfg.Beta},
 			dbi.Geometry{Beats: cfg.Beats, Lanes: cfg.Lanes})
@@ -287,8 +283,6 @@ func (c *conn) newSessState(sid uint64, cfg SessionConfig) (*sessState, error) {
 		}
 		st.ls = kern.NewLaneSet(cfg.Lanes)
 		st.scheme = scheme
-		st.pipe = kern.NewPipeline(cfg.Lanes,
-			dbi.WithWorkers(srv.cfg.Workers), dbi.WithChunkFrames(srv.cfg.ChunkFrames))
 	}
 	for l := range st.frame {
 		st.frame[l] = bus.Burst(st.frameBuf[l*cfg.Beats : (l+1)*cfg.Beats])
@@ -651,16 +645,13 @@ func adaptiveSchemeName(candidates []string) string {
 }
 
 // noteSwitch is the adaptive controllers' OnSwitch hook: it queues one
-// SWITCH notice for the client and counts the switch. Single-frame encodes
-// call it from the connection goroutine, batch encodes from pipeline
-// workers, hence the mutex.
+// SWITCH notice for the client and counts the switch. Frame and batch
+// encodes both call it from the connection goroutine.
 func (st *sessState) noteSwitch(sw adapt.Switch) {
-	st.switchMu.Lock()
 	st.pending = append(st.pending, SwitchNote{
 		Lane: sw.Lane, Ordinal: sw.Ordinal, Burst: sw.Burst, From: sw.From, To: sw.To,
 	})
 	st.switches++
-	st.switchMu.Unlock()
 	st.m.noteSwitch()
 }
 
@@ -669,9 +660,7 @@ func (st *sessState) noteSwitch(sw adapt.Switch) {
 // otherwise), so Coded stays cumulative across a resume.
 func (st *sessState) refreshTotals() {
 	st.totals.Coded = st.codedBase.Add(st.ls.TotalCost())
-	st.switchMu.Lock()
 	st.totals.Switches = st.switches
-	st.switchMu.Unlock()
 }
 
 // flushSwitches writes every queued SWITCH notice of one session. Replies
@@ -683,13 +672,10 @@ func (c *conn) flushSwitches(st *sessState) error {
 	if !st.adaptive {
 		return nil
 	}
-	st.switchMu.Lock()
 	notes := st.pending
 	st.pending = st.pending[:0]
-	st.switchMu.Unlock()
-	// Batch encodes queue notices from pipeline workers, so two lanes
-	// switching at the same burst arrive in racy order; sort so the wire
-	// order is deterministic regardless of worker scheduling.
+	// The wire order is by switch point, then lane — the order a serial
+	// offline replay logs them in, whatever lanes the encode visited first.
 	slices.SortFunc(notes, func(a, b SwitchNote) int {
 		if a.Burst != b.Burst {
 			return a.Burst - b.Burst
@@ -757,7 +743,7 @@ func (c *conn) discardThen(n int, reply func() error) error {
 }
 
 // payload reads a complete n-byte payload into the connection's reusable
-// buffer (valid until the next payload/handleBatch call).
+// buffer (valid until the next payload call).
 func (c *conn) payload(n int) ([]byte, error) {
 	if cap(c.batchBuf) < n {
 		c.batchBuf = make([]byte, n)
@@ -858,42 +844,21 @@ func (c *conn) handleFrame(st *sessState, n int) error {
 	return c.maybeFlush()
 }
 
-// rawTee passes frames from a source through unchanged while advancing the
-// session's raw-baseline accounting and counting the batch's volume. The
-// pipeline pulls frames from a single goroutine in order, so the serial
-// accumulation here sees exactly the lane-continuous burst sequence.
-type rawTee struct {
-	st            *sessState
-	src           dbi.FrameSource
-	frames, beats int
-	bursts        int
-}
+// errBatchResumable refuses batch messages on resumable sessions.
+var errBatchResumable = errors.New("server: batch messages are not supported on a resumable session")
 
-// NextFrame implements dbi.FrameSource.
-func (t *rawTee) NextFrame() (bus.Frame, error) {
-	f, err := t.src.NextFrame()
-	if err != nil {
-		return nil, err
-	}
-	t.st.accumulateRaw(f)
-	t.frames++
-	for _, b := range f {
-		if len(b) > 0 {
-			t.bursts++
-		}
-		t.beats += len(b)
-	}
-	return f, nil
-}
-
-// handleBatch decodes a "DBIT" trace blob, replays it onto the session's
-// lanes through the sharded pipeline (burst i → lane i%lanes, exactly as
-// trace.FrameReader and dbitrace cost do), and answers with the cumulative
-// session totals. Per-lane state is continuous with any single frames sent
-// before or after: the pipeline runs over the same LaneSet streams. A
-// batch that fails validation before any encoding is session-scoped on mux
-// connections; an encode failure mid-batch leaves the lane state
-// unspecified and is always connection-fatal.
+// handleBatch decodes a "DBIT" trace blob and replays it onto the
+// session's lanes (burst i → lane i%lanes, exactly as trace.FrameReader and
+// dbitrace cost do), answering with the cumulative session totals. The
+// whole blob is validated before any lane state moves, so every malformed
+// batch is a session-scoped error on mux connections and leaves the
+// session untouched. The batch then runs as a sequence of frames on the
+// connection goroutine: each frame is a set of views into the payload
+// buffer, encoded by the same accumulateRaw + LaneSet.TransmitBatch pair as
+// handleFrame, so per-lane state is continuous with any single frames sent
+// before or after, and the steady state allocates nothing.
+//
+//dbi:hotpath
 func (c *conn) handleBatch(st *sessState, n int) error {
 	buf, err := c.payload(n)
 	if err != nil {
@@ -902,27 +867,31 @@ func (c *conn) handleBatch(st *sessState, n int) error {
 	if st.resumable() {
 		// One frame of history can't reconcile a lost batch reply, so a
 		// resumable session's exactly-once story holds only frame by frame.
-		return c.sessFail(st.id, errors.New("server: batch messages are not supported on a resumable session"))
+		return c.sessFail(st.id, errBatchResumable)
 	}
 	start := time.Now()
-	tr, err := trace.NewReader(bytes.NewReader(buf))
+	beats, body, err := trace.ParseBlob(buf)
 	if err != nil {
 		return c.sessFail(st.id, err)
 	}
-	if tr.Beats() != st.cfg.Beats {
-		return c.sessFail(st.id, fmt.Errorf("server: batch trace has %d beats per burst, session has %d", tr.Beats(), st.cfg.Beats))
+	if beats != st.cfg.Beats {
+		return c.sessFail(st.id, fmt.Errorf("server: batch trace has %d beats per burst, session has %d", beats, st.cfg.Beats)) //dbi:allow-escape error formatting on a malformed batch, dead in steady state
 	}
-	fr, err := trace.NewFrameReader(tr, st.cfg.Lanes)
-	if err != nil {
-		return c.sessFail(st.id, err)
+	lanes := st.cfg.Lanes
+	if cap(c.batchFrame) < lanes {
+		c.batchFrame = make(bus.Frame, lanes) //dbi:allow-escape frame-view scratch growth, amortized across batches
 	}
-	tee := &rawTee{st: st, src: fr}
-	if _, err := st.pipe.RunLanes(tee, st.ls); err != nil {
-		return c.connFail(err)
+	f := c.batchFrame[:lanes]
+	bursts := len(body) / beats
+	for rest := body; len(rest) > 0; {
+		rest = trace.NextFrameView(f, rest, beats)
+		st.accumulateRaw(f)
+		st.ls.TransmitBatch(f)
 	}
-	st.totals.Frames += tee.frames
-	st.totals.Beats += tee.beats
-	st.noteDelta(true, tee.frames, tee.bursts, tee.beats, start)
+	frames := (bursts + lanes - 1) / lanes
+	st.totals.Frames += frames
+	st.totals.Beats += len(body)
+	st.noteDelta(true, frames, bursts, len(body), start)
 	return c.sendTotals(st)
 }
 

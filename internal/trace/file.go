@@ -112,21 +112,58 @@ type Reader struct {
 // NewReader parses the header and prepares to stream bursts.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	hdr := make([]byte, 12)
+	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
+	beats, count, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{r: br, beats: beats, count: count}, nil
+}
+
+// headerLen is the size of the fixed trace header.
+const headerLen = 12
+
+// parseHeader validates a complete header and returns its burst length and
+// burst count (zero meaning "until EOF").
+func parseHeader(hdr []byte) (beats int, count uint32, err error) {
 	if string(hdr[:4]) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", hdr[:4])
+		return 0, 0, fmt.Errorf("trace: bad magic %q", hdr[:4])
 	}
 	if hdr[4] != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[4])
+		return 0, 0, fmt.Errorf("trace: unsupported version %d", hdr[4])
 	}
-	beats := int(hdr[5])
-	if beats == 0 {
-		return nil, fmt.Errorf("trace: header declares zero beats per burst")
+	if hdr[5] == 0 {
+		return 0, 0, fmt.Errorf("trace: header declares zero beats per burst")
 	}
-	return &Reader{r: br, beats: beats, count: binary.LittleEndian.Uint32(hdr[8:12])}, nil
+	return int(hdr[5]), binary.LittleEndian.Uint32(hdr[8:headerLen]), nil
+}
+
+// ParseBlob validates a complete in-memory trace up front and returns its
+// burst length and its bursts, back to back, as one view into blob: no
+// copy and no allocation on success. It accepts exactly what a Reader
+// replayed to io.EOF accepts, with the same count semantics: a nonzero
+// count caps the bursts (bytes past them are ignored), a zero count — or
+// one larger than the bursts present — reads to the end, and a partial
+// burst before the count is met is a truncation error.
+func ParseBlob(blob []byte) (beats int, body []byte, err error) {
+	if len(blob) < headerLen {
+		return 0, nil, fmt.Errorf("trace: reading header: %w", io.ErrUnexpectedEOF)
+	}
+	beats, count, err := parseHeader(blob[:headerLen])
+	if err != nil {
+		return 0, nil, err
+	}
+	body = blob[headerLen:]
+	if n := uint64(len(body) / beats); count != 0 && uint64(count) <= n {
+		return beats, body[:int(count)*beats], nil
+	}
+	if len(body)%beats != 0 {
+		return 0, nil, fmt.Errorf("trace: truncated burst: %w", io.ErrUnexpectedEOF)
+	}
+	return beats, body, nil
 }
 
 // Beats returns the burst length of the trace.

@@ -95,3 +95,21 @@ func (fr *FrameReader) NextFrame() (bus.Frame, error) {
 	}
 	return f, nil
 }
+
+// NextFrameView is the in-place form of FrameReader over a ParseBlob body:
+// it points f's lanes at the next len(f) bursts of body — burst i onto lane
+// i%len(f), exactly as FrameReader groups a Reader's bursts — and returns
+// the bytes after them. A short final frame's missing lanes get zero-beat
+// bursts, as FrameReader pads them. The bursts are views into body, so f
+// is valid only as long as body is. body must be a whole number of beats-
+// byte bursts.
+func NextFrameView(f bus.Frame, body []byte, beats int) (rest []byte) {
+	for l := range f {
+		if len(body) == 0 {
+			f[l] = bus.Burst(body) // zero beats: drives no wires
+			continue
+		}
+		f[l], body = bus.Burst(body[:beats:beats]), body[beats:]
+	}
+	return body
+}

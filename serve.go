@@ -12,10 +12,11 @@ import (
 type (
 	// Server is a long-lived TCP encode service: per-session scheme
 	// selection by registry name, persistent per-lane wire state, batch
-	// encoding through the sharded pipeline, graceful drain on shutdown.
+	// messages parsed in place and encoded frame by frame, graceful drain
+	// on shutdown.
 	Server = server.Server
-	// ServerConfig configures a Server (address, default scheme, worker
-	// cap, connection cap).
+	// ServerConfig configures a Server (address, default scheme,
+	// connection and session caps, deadlines, adaptive defaults).
 	ServerConfig = server.Config
 	// Client is one v2 session against a Server: one scheme, one
 	// continuous per-lane wire state. Not safe for concurrent use; for
