@@ -6,25 +6,25 @@
 // Usage:
 //
 //	dbiserve [-addr 127.0.0.1:8421] [-scheme OPT-FIXED]
-//	         [-max-conns 64] [-max-sessions 1048576] [-metrics-every 0]
+//	         [-max-conns 64] [-max-sessions 1048576]
 //	         [-metrics-addr host:port]
 //	         [-idle-timeout 0] [-write-timeout 0] [-shed] [-park-timeout 0]
 //	         [-adapt] [-adapt-window 64] [-adapt-margin 0.05]
 //	         [-adapt-schemes DC,AC,OPT-FIXED]
 //
-// Clients pick their own scheme, weights and bus geometry per session at
-// handshake time (see DESIGN.md §6 for the protocol); -scheme and
+// Clients pick their own scheme, weights and bus geometry per session when
+// they open it (see DESIGN.md §6 for the protocol); -scheme and
 // -alpha/-beta only set the defaults used when a session requests none.
 // -scheme help lists the registered names. Batch messages are parsed in
 // place and encoded frame by frame on their connection's goroutine, like
 // single frames; -max-conns bounds the concurrently served connections (excess connections queue in the
 // kernel backlog — the connection-level backpressure contract), and
-// -max-sessions bounds the logical sessions across all of them: protocol
-// v3 clients multiplex thousands of sessions onto one connection, so the
-// two limits are separate knobs.
+// -max-sessions bounds the logical sessions across all of them: clients
+// multiplex thousands of sessions onto one connection, so the two limits
+// are separate knobs.
 //
-// With -metrics-addr, the counters are additionally exported over HTTP in
-// Prometheus text format at /metrics, next to a /healthz probe that flips
+// With -metrics-addr, the counters are exported over HTTP in Prometheus
+// text format at /metrics, next to a /healthz probe that flips
 // to 503 the moment a drain starts (so load balancers stop routing while
 // the drain is watched from outside) and reports the live connection,
 // session, parked-session and shed counts in its body.
@@ -51,12 +51,11 @@
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting, waits
 // up to -drain for in-flight sessions to finish, then prints the final
-// metrics. A second signal (or the -drain deadline) forces the remaining
+// metrics in the same Prometheus text format. A second signal (or the -drain deadline) forces the remaining
 // connections closed.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -90,7 +89,6 @@ func run() error {
 	shed := flag.Bool("shed", false, "answer dialers past -max-conns with an immediate busy rejection instead of queueing them")
 	parkTimeout := flag.Duration("park-timeout", 0, "how long a resumable session's state survives its connection for reattach (0 = default 30s)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain deadline on shutdown")
-	metricsEvery := flag.Duration("metrics-every", 0, "periodically print the metrics table (0 = only at shutdown)")
 	adaptDefault := flag.Bool("adapt", false, "serve scheme-less sessions adaptively: a windowed controller switches schemes online as the traffic shifts")
 	adaptWindow := flag.Int("adapt-window", 0, "adaptive decision window in bursts; 0 = default (64)")
 	adaptMargin := flag.Float64("adapt-margin", 0, "adaptive hysteresis margin in [0,1); 0 = default (0.05)")
@@ -144,40 +142,20 @@ func run() error {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if *metricsEvery > 0 {
-		ticker = time.NewTicker(*metricsEvery)
-		tick = ticker.C
-		defer ticker.Stop()
+	s := <-sig
+	fmt.Printf("dbiserve: %v — draining (deadline %s; signal again to force)\n", s, *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	go func() {
+		<-sig
+		cancel()
+	}()
+	err = srv.Shutdown(ctx)
+	cancel()
+	if perr := srv.Metrics().Snapshot().WritePrometheus(os.Stdout); perr != nil {
+		fmt.Fprintln(os.Stderr, "dbiserve: rendering metrics:", perr)
 	}
-	for {
-		select {
-		case <-tick:
-			printMetrics(srv)
-		case s := <-sig:
-			fmt.Printf("dbiserve: %v — draining (deadline %s; signal again to force)\n", s, *drain)
-			ctx, cancel := context.WithTimeout(context.Background(), *drain)
-			go func() {
-				<-sig
-				cancel()
-			}()
-			err := srv.Shutdown(ctx)
-			cancel()
-			printMetrics(srv)
-			if err != nil {
-				return fmt.Errorf("drain incomplete: %w", err)
-			}
-			return nil
-		}
+	if err != nil {
+		return fmt.Errorf("drain incomplete: %w", err)
 	}
-}
-
-func printMetrics(srv *server.Server) {
-	var buf bytes.Buffer
-	if err := srv.Metrics().Snapshot().WriteText(&buf); err != nil {
-		fmt.Fprintln(os.Stderr, "dbiserve: rendering metrics:", err)
-		return
-	}
-	fmt.Print(buf.String())
+	return nil
 }

@@ -97,18 +97,9 @@ func main() {
 	report(opt)
 	report(dc)
 
-	// The server-wide counters, as a late client would scrape them.
-	last, err := dbiopt.Dial(srv.Addr().String(), dbiopt.SessionConfig{Lanes: 1, Beats: 8})
-	if err != nil {
-		panic(err)
-	}
-	text, err := last.Metrics()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println()
-	fmt.Print(text)
-	if _, err := last.Close(); err != nil {
-		panic(err)
-	}
+	// The server-wide counters, read in-process; dbiserve -metrics-addr
+	// serves the same snapshot as Prometheus text at /metrics.
+	m := srv.Metrics().Snapshot()
+	fmt.Printf("\nserver: %d sessions, %d frames, %d batch messages, %d bursts, toggles saved %d (%.1f%%), %.0f ns/burst\n",
+		m.Accepted, m.Frames, m.Batches, m.Bursts, m.TogglesSaved, 100*m.TogglesSavedRatio, m.NsPerBurst)
 }

@@ -14,27 +14,29 @@ import (
 	"dbiopt/internal/racetag"
 )
 
-// newLoopConn builds a connection with one open session the way newConn
-// does, but wired to an in-memory reader/writer so the encode path can be
-// exercised without a network (and therefore measured by AllocsPerRun
-// deterministically). mux selects the multiplexed framing.
-func newLoopConn(t testing.TB, srv *Server, cfg SessionConfig, mux bool, w io.Writer) (*conn, *sessState) {
+// newLoopConn builds a connection with one open session (id 7) the way
+// newConn and msgOpen do, but wired to an in-memory reader/writer so the
+// encode path can be exercised without a network (and therefore measured
+// by AllocsPerRun deterministically).
+func newLoopConn(t testing.TB, srv *Server, cfg SessionConfig, w io.Writer) (*conn, *sessState) {
 	t.Helper()
 	c := &conn{
-		srv:     srv,
-		m:       srv.metrics.shard(),
-		w:       bufio.NewWriter(w),
-		version: protocolVersion,
-		mux:     mux,
-		def:     SessionConfig{Alpha: srv.cfg.Alpha, Beta: srv.cfg.Beta},
+		srv:      srv,
+		m:        srv.metrics.shard(),
+		w:        bufio.NewWriter(w),
+		def:      SessionConfig{Alpha: srv.cfg.Alpha, Beta: srv.cfg.Beta},
+		sessions: map[uint64]*sessState{},
 	}
+	return c, addLoopSession(t, c, 7, cfg)
+}
+
+// addLoopSession opens one more session, id sid, on a newLoopConn
+// connection, with the state msgOpen would give it.
+func addLoopSession(t testing.TB, c *conn, sid uint64, cfg SessionConfig) *sessState {
+	t.Helper()
 	enc, err := dbi.Lookup(cfg.Scheme, dbi.Weights{Alpha: cfg.Alpha, Beta: cfg.Beta})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var sid uint64
-	if mux {
-		sid = 7
 	}
 	st := &sessState{
 		id:        sid,
@@ -53,23 +55,16 @@ func newLoopConn(t testing.TB, srv *Server, cfg SessionConfig, mux bool, w io.Wr
 	for l := range st.rawStates {
 		st.rawStates[l] = bus.InitialLineState
 	}
-	if mux {
-		c.sessions = map[uint64]*sessState{sid: st}
-	} else {
-		c.single = st
-	}
-	return c, st
+	c.sessions[sid] = st
+	return st
 }
 
-// frameMessage serialises one msgFrame for the given workload frame; sid
-// adds the mux session-id prefix when nonzero.
+// frameMessage serialises one msgFrame for the given workload frame,
+// addressed to session sid.
 func frameMessage(t testing.TB, f bus.Frame, lanes, beats int, sid uint64) []byte {
 	t.Helper()
-	var prefix []byte
-	if sid != 0 {
-		var sb [binary.MaxVarintLen64]byte
-		prefix = sb[:binary.PutUvarint(sb[:], sid)]
-	}
+	var sb [binary.MaxVarintLen64]byte
+	prefix := sb[:binary.PutUvarint(sb[:], sid)]
 	var hdr [5]byte
 	putHeader(&hdr, msgFrame, len(prefix)+lanes*beats)
 	msg := append([]byte(nil), hdr[:]...)
@@ -81,7 +76,7 @@ func frameMessage(t testing.TB, f bus.Frame, lanes, beats int, sid uint64) []byt
 }
 
 // runFrameAllocs replays pre-serialised frame or batch messages through
-// the connection's dispatch path, exactly as the message loops route them,
+// the connection's dispatch path, exactly as the message loop routes them,
 // and returns AllocsPerRun over it.
 func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 	t.Helper()
@@ -95,15 +90,11 @@ func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 		if err != nil {
 			t.Fatalf("header: %v", err)
 		}
-		switch {
-		case typ == msgFrame && c.mux:
-			err = c.muxFrame(n)
-		case typ == msgFrame:
-			err = c.handleFrame(c.single, n)
-		case typ == msgBatch && c.mux:
-			err = c.muxTarget(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
-		case typ == msgBatch:
-			err = c.handleBatch(c.single, n)
+		switch typ {
+		case msgFrame:
+			err = c.routeFrame(n)
+		case msgBatch:
+			err = c.routeSession(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
 		default:
 			t.Fatalf("unexpected message type %q", typ)
 		}
@@ -114,19 +105,16 @@ func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 	})
 }
 
-// batchMessage serialises one msgBatch carrying frames as a DBIT blob; sid
-// adds the mux session-id prefix when nonzero.
+// batchMessage serialises one msgBatch carrying frames as a DBIT blob,
+// addressed to session sid.
 func batchMessage(t testing.TB, frames []bus.Frame, beats int, sid uint64) []byte {
 	t.Helper()
 	blob, err := encodeTraceBlob(frames, beats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prefix []byte
-	if sid != 0 {
-		var sb [binary.MaxVarintLen64]byte
-		prefix = sb[:binary.PutUvarint(sb[:], sid)]
-	}
+	var sb [binary.MaxVarintLen64]byte
+	prefix := sb[:binary.PutUvarint(sb[:], sid)]
 	var hdr [5]byte
 	putHeader(&hdr, msgBatch, len(prefix)+len(blob))
 	msg := append([]byte(nil), hdr[:]...)
@@ -135,37 +123,35 @@ func batchMessage(t testing.TB, frames []bus.Frame, beats int, sid uint64) []byt
 }
 
 // TestServeBatchZeroAlloc pins the in-place batch path: once warmed, a
-// session answering a 256-frame OPT-FIXED 8x8 batch — blob validation,
-// frame views, raw baseline, the fused BL8 batch kernel, metrics and the
-// totals reply — performs zero heap allocations per batch, on the
-// single-session and the mux path alike.
+// session answering a 256-frame OPT-FIXED 8x8 batch — session routing,
+// blob validation, frame views, raw baseline, the fused BL8 batch kernel,
+// metrics and the totals reply — performs zero heap allocations per batch.
 func TestServeBatchZeroAlloc(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("allocation counts are skewed by -race instrumentation")
 	}
 	const lanes, beats, frames = 8, bus.BurstLength, 256
-	for _, mux := range []bool{false, true} {
-		srv, err := New(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, mux, io.Discard)
-		msgs := [][]byte{
-			batchMessage(t, randomFrames(61, frames, lanes, beats), beats, st.id),
-			batchMessage(t, randomFrames(62, frames, lanes, beats), beats, st.id),
-		}
-		if allocs := runFrameAllocs(t, c, msgs); allocs != 0 {
-			t.Errorf("mux=%v: steady-state batch path allocates %.1f times per batch, want 0", mux, allocs)
-		}
-		if st.totals.Frames%frames != 0 || st.totals.Frames == 0 || st.ls.TotalCost() == (Cost{}) {
-			t.Fatalf("mux=%v: batch work not done: %+v", mux, st.totals)
-		}
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, io.Discard)
+	msgs := [][]byte{
+		batchMessage(t, randomFrames(61, frames, lanes, beats), beats, st.id),
+		batchMessage(t, randomFrames(62, frames, lanes, beats), beats, st.id),
+	}
+	if allocs := runFrameAllocs(t, c, msgs); allocs != 0 {
+		t.Errorf("steady-state batch path allocates %.1f times per batch, want 0", allocs)
+	}
+	if st.totals.Frames%frames != 0 || st.totals.Frames == 0 || st.ls.TotalCost() == (Cost{}) {
+		t.Fatalf("batch work not done: %+v", st.totals)
 	}
 }
 
-// TestServeFrameZeroAlloc pins the serving property the acceptance criteria
-// ask for: the steady-state single-frame path — payload read, raw baseline,
-// LaneSet encode, mask packing, reply write, metrics — performs zero heap
+// TestServeFrameZeroAlloc pins the serving property the acceptance
+// criteria ask for: the steady-state single-frame path — session-id varint
+// read, session-map lookup, payload read, raw baseline, LaneSet encode,
+// mask packing, sid-prefixed reply write, metrics — performs zero heap
 // allocations per frame.
 func TestServeFrameZeroAlloc(t *testing.T) {
 	if racetag.Enabled {
@@ -176,12 +162,12 @@ func TestServeFrameZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, false, io.Discard)
+	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, io.Discard)
 
 	fs := randomFrames(21, 16, lanes, beats)
 	msgs := make([][]byte, len(fs))
 	for i, f := range fs {
-		msgs[i] = frameMessage(t, f, lanes, beats, 0)
+		msgs[i] = frameMessage(t, f, lanes, beats, st.id)
 	}
 	if allocs := runFrameAllocs(t, c, msgs); allocs != 0 {
 		t.Errorf("steady-state frame path allocates %.1f times per frame, want 0", allocs)
@@ -191,9 +177,10 @@ func TestServeFrameZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestServeMuxFrameZeroAlloc pins the same property on the multiplexed
-// path: session-id varint read, shard-map lookup, sid-prefixed reply — all
-// on top of the encode — still zero heap allocations per frame.
+// TestServeMuxFrameZeroAlloc pins the same property with several sessions
+// multiplexed on one connection: frames interleaved between two sessions
+// of different schemes, one with a multi-byte session-id varint, still
+// cost zero heap allocations per frame, and each session does its own work.
 func TestServeMuxFrameZeroAlloc(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("allocation counts are skewed by -race instrumentation")
@@ -203,18 +190,25 @@ func TestServeMuxFrameZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, true, io.Discard)
+	c, a := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, io.Discard)
+	b := addLoopSession(t, c, 300, SessionConfig{Scheme: "ACDC", Lanes: lanes, Beats: beats})
 
 	fs := randomFrames(33, 16, lanes, beats)
 	msgs := make([][]byte, len(fs))
 	for i, f := range fs {
-		msgs[i] = frameMessage(t, f, lanes, beats, st.id)
+		sid := a.id
+		if i%2 == 1 {
+			sid = b.id
+		}
+		msgs[i] = frameMessage(t, f, lanes, beats, sid)
 	}
 	if allocs := runFrameAllocs(t, c, msgs); allocs != 0 {
 		t.Errorf("steady-state mux frame path allocates %.1f times per frame, want 0", allocs)
 	}
-	if st.totals.Frames == 0 || st.ls.TotalCost() == (Cost{}) {
-		t.Fatal("no work was actually done")
+	for _, st := range []*sessState{a, b} {
+		if st.totals.Frames == 0 || st.ls.TotalCost() == (Cost{}) {
+			t.Fatalf("session %d: no work was actually done", st.id)
+		}
 	}
 }
 
@@ -241,7 +235,7 @@ func TestServeFrameDeadlinesZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, true, io.Discard)
+	c, st := newLoopConn(t, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}, io.Discard)
 	nc := &deadlineConn{}
 	c.nc = nc
 	c.idle, c.writeTO = srv.cfg.IdleTimeout, srv.cfg.WriteTimeout

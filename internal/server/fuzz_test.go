@@ -30,16 +30,16 @@ func fuzzStream(hs func(w io.Writer) error, msgs ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// FuzzProtocolRoundTrip fuzzes both protocol versions at two levels. The
-// parsers are checked for serialisation round-trips: any input a parser
-// accepts must re-serialise to bytes the parser maps to the same value
-// (compared in serialised form, so NaN weight payloads are held bit-exact
-// rather than tripping float equality). And a live server is fed the input
-// as a raw client byte stream — bare, or behind a valid v2 or v3-mux
-// handshake so mutations reach the framing, session-id varint, batch and
-// config-body paths — and must answer every malformation with a clean
-// error or close: a panic crashes the fuzz worker, a hang trips the
-// read deadline.
+// FuzzProtocolRoundTrip fuzzes the protocol at two levels. The parsers are
+// checked for serialisation round-trips: any input a parser accepts must
+// re-serialise to bytes the parser maps to the same value (compared in
+// serialised form, so NaN weight payloads are held bit-exact rather than
+// tripping float equality). And a live server is fed the input as a raw
+// client byte stream — bare, or behind one of two valid handshakes (with
+// and without connection-default scheme) so mutations reach the framing,
+// session-id varint, batch and config-body paths — and must answer every
+// malformation with a clean error or close: a panic crashes the fuzz
+// worker, a hang trips the read deadline.
 func FuzzProtocolRoundTrip(f *testing.F) {
 	srv, err := New(Config{Addr: "127.0.0.1:0", MaxConns: 32})
 	if err != nil {
@@ -52,23 +52,22 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 	addr := srv.Addr().String()
 
 	static := SessionConfig{Scheme: "DC", Lanes: 2, Beats: 8}
-	v2hs := func(w io.Writer) error { return writeHandshake(w, protocolV2, false, static) }
-	v3hs := func(w io.Writer) error {
-		return writeHandshake(w, protocolV3, true, SessionConfig{Lanes: 2, Beats: 8})
-	}
+	staticHs := func(w io.Writer) error { return writeHandshake(w, static) }
+	bareHs := func(w io.Writer) error { return writeHandshake(w, SessionConfig{Lanes: 2, Beats: 8}) }
 	payload := make([]byte, 2*8)
 	for i := range payload {
 		payload[i] = byte(i * 37)
 	}
 
-	f.Add(byte(0), fuzzStream(v2hs))
-	f.Add(byte(0), fuzzStream(v3hs))
-	f.Add(byte(0), fuzzStream(v2hs,
-		append([]byte{msgFrame}, payload...),
-		[]byte{msgTotals},
+	f.Add(byte(0), fuzzStream(staticHs))
+	f.Add(byte(0), fuzzStream(bareHs))
+	f.Add(byte(0), fuzzStream(staticHs,
+		append([]byte{msgOpen, 1}, appendConfigBody(nil, SessionConfig{Lanes: 2, Beats: 8})...),
+		append([]byte{msgFrame, 1}, payload...),
+		[]byte{msgTotals, 1},
 		[]byte{msgQuit}))
 	f.Add(byte(2), fuzzStream(nil,
-		append([]byte{msgOpen, 1}, appendConfigBody(nil, static, false)...),
+		append([]byte{msgOpen, 1}, appendConfigBody(nil, static)...),
 		append([]byte{msgFrame, 1}, payload...),
 		[]byte{msgCloseSess, 1},
 		[]byte{msgQuit}))
@@ -121,29 +120,27 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 // fuzzParsers checks every stateless parser for the round-trip property on
 // one input.
 func fuzzParsers(t *testing.T, data []byte) {
-	if c, version, mux, err := readHandshake(bytes.NewReader(data)); err == nil {
+	if c, err := readHandshake(bytes.NewReader(data)); err == nil {
 		var b1, b2 bytes.Buffer
-		if err := writeHandshake(&b1, version, mux, c); err != nil {
+		if err := writeHandshake(&b1, c); err != nil {
 			t.Fatalf("accepted handshake does not re-serialise: %v", err)
 		}
-		c2, v2, m2, err := readHandshake(bytes.NewReader(b1.Bytes()))
+		c2, err := readHandshake(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("re-serialised handshake rejected: %v", err)
 		}
-		if err := writeHandshake(&b2, v2, m2, c2); err != nil || !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		if err := writeHandshake(&b2, c2); err != nil || !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 			t.Fatalf("handshake round-trip diverged:\n %x\n %x (%v)", b1.Bytes(), b2.Bytes(), err)
 		}
 	}
-	for _, version := range []int{protocolV2, protocolV3} {
-		if c, err := parseConfigBody(data, version); err == nil {
-			b1 := appendConfigBody(nil, c, false)
-			c2, err := parseConfigBody(b1, version)
-			if err != nil {
-				t.Fatalf("re-serialised config body rejected (v%d): %v", version, err)
-			}
-			if b2 := appendConfigBody(nil, c2, false); !bytes.Equal(b1, b2) {
-				t.Fatalf("config body round-trip diverged (v%d):\n %x\n %x", version, b1, b2)
-			}
+	if c, err := parseConfigBody(data); err == nil {
+		b1 := appendConfigBody(nil, c)
+		c2, err := parseConfigBody(b1)
+		if err != nil {
+			t.Fatalf("re-serialised config body rejected: %v", err)
+		}
+		if b2 := appendConfigBody(nil, c2); !bytes.Equal(b1, b2) {
+			t.Fatalf("config body round-trip diverged:\n %x\n %x", b1, b2)
 		}
 	}
 	if sid, status, msg, err := parseOpenReply(data); err == nil {
@@ -220,9 +217,9 @@ func fuzzServer(t *testing.T, addr string, variant byte, data []byte) {
 	var buf bytes.Buffer
 	switch variant {
 	case 1:
-		writeHandshake(&buf, protocolV2, false, SessionConfig{Scheme: "DC", Lanes: 2, Beats: 8}) //nolint:errcheck
+		writeHandshake(&buf, SessionConfig{Scheme: "DC", Lanes: 2, Beats: 8}) //nolint:errcheck
 	case 2:
-		writeHandshake(&buf, protocolV3, true, SessionConfig{Lanes: 2, Beats: 8}) //nolint:errcheck
+		writeHandshake(&buf, SessionConfig{Lanes: 2, Beats: 8}) //nolint:errcheck
 	}
 	buf.Write(data)
 	if _, err := nc.Write(buf.Bytes()); err != nil {

@@ -234,7 +234,7 @@ func runLoadConn(cfg LoadConfig, seed int64, res *loadConn) {
 		Scheme: cfg.Scheme, Alpha: cfg.Alpha, Beta: cfg.Beta,
 		Lanes: cfg.Lanes, Beats: cfg.Beats,
 	}
-	if err := writeHandshake(w, protocolV3, true, def); err != nil {
+	if err := writeHandshake(w, def); err != nil {
 		res.err = err
 		return
 	}
@@ -242,7 +242,7 @@ func runLoadConn(cfg LoadConfig, seed int64, res *loadConn) {
 		res.err = err
 		return
 	}
-	if _, err := readReply(r); err != nil {
+	if err := readReply(r); err != nil {
 		res.err = err
 		return
 	}
@@ -266,7 +266,7 @@ func runLoadConn(cfg LoadConfig, seed int64, res *loadConn) {
 	var hdr [5]byte
 	for s := 0; s < M; s++ {
 		sid := sidBuf[:binary.PutUvarint(sidBuf[:], uint64(s+1))]
-		body := appendConfigBody(nil, SessionConfig{Lanes: cfg.Lanes, Beats: cfg.Beats}, false)
+		body := appendConfigBody(nil, SessionConfig{Lanes: cfg.Lanes, Beats: cfg.Beats})
 		putHeader(&hdr, msgOpen, len(sid)+len(body))
 		openMsgs[s] = append(append(append([]byte(nil), hdr[:]...), sid...), body...)
 

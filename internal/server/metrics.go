@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dbiopt/internal/stats"
 )
 
 // metricsShard is one core's slice of the server counters. Connections are
@@ -51,8 +49,8 @@ type metricsShard struct {
 // noteConn records one accepted connection.
 func (m *metricsShard) noteConn() { m.conns.Add(1) }
 
-// noteSession records one accepted or rejected session open (a v2
-// handshake or a mux msgOpen).
+// noteSession records one accepted or rejected session open (a msgOpen,
+// or a refused handshake).
 func (m *metricsShard) noteSession(ok bool) {
 	m.accepted.Add(1)
 	if ok {
@@ -114,8 +112,8 @@ func (m *metricsShard) noteEncode(batch bool, frames, bursts, beats int, coded, 
 	m.encodeNs.Add(int64(d))
 }
 
-// Metrics aggregates the server-wide counters behind the msgMetrics reply
-// and the HTTP /metrics endpoint. The hot counters are sharded per core
+// Metrics aggregates the server-wide counters behind the HTTP /metrics
+// endpoint. The hot counters are sharded per core
 // (see metricsShard) and only summed at snapshot time; the per-scheme
 // session counters are a mutex-guarded map touched once per session open,
 // never on the frame path.
@@ -160,8 +158,8 @@ func (m *Metrics) noteScheme(scheme string) {
 // (each counter is read atomically; the set is not read under one lock,
 // which is the usual contract of scrape-style metrics).
 type MetricsSnapshot struct {
-	// Conns counts connections accepted (a mux connection carries many
-	// sessions; a v2 connection exactly one).
+	// Conns counts connections accepted (each carries any number of
+	// sessions).
 	Conns int64
 	// Accepted, Rejected and Active count session lifecycle events:
 	// opens attempted, opens refused, and sessions currently open.
@@ -255,49 +253,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// WriteText renders the snapshot as an aligned counter table (via
-// stats.Table), the textual export the msgMetrics message and dbiserve's
-// shutdown summary print.
-func (s MetricsSnapshot) WriteText(buf *bytes.Buffer) error {
-	tbl := &stats.Table{Title: "dbiserve metrics", Columns: []string{"counter", "value"}}
-	rows := []struct {
-		name  string
-		value string
-	}{
-		{"connections_accepted", fmt.Sprint(s.Conns)},
-		{"sessions_accepted", fmt.Sprint(s.Accepted)},
-		{"sessions_rejected", fmt.Sprint(s.Rejected)},
-		{"sessions_active", fmt.Sprint(s.Active)},
-		{"sessions_adaptive", fmt.Sprint(s.AdaptiveSessions)},
-		{"scheme_switches", fmt.Sprint(s.SchemeSwitches)},
-		{"frames_encoded", fmt.Sprint(s.Frames)},
-		{"batches_encoded", fmt.Sprint(s.Batches)},
-		{"bursts_encoded", fmt.Sprint(s.Bursts)},
-		{"beats_encoded", fmt.Sprint(s.Beats)},
-		{"coded_zeros", fmt.Sprint(s.Coded.Zeros)},
-		{"coded_transitions", fmt.Sprint(s.Coded.Transitions)},
-		{"raw_zeros", fmt.Sprint(s.Raw.Zeros)},
-		{"raw_transitions", fmt.Sprint(s.Raw.Transitions)},
-		{"toggles_saved", fmt.Sprint(s.TogglesSaved)},
-		{"toggles_saved_ratio", fmt.Sprintf("%.4f", s.TogglesSavedRatio)},
-		{"zeros_saved", fmt.Sprint(s.ZerosSaved)},
-		{"encode_ns_total", fmt.Sprint(s.EncodeTime.Nanoseconds())},
-		{"encode_ns_per_burst", fmt.Sprintf("%.1f", s.NsPerBurst)},
-		{"conn_timeouts", fmt.Sprint(s.ConnTimeouts)},
-		{"busy_rejections", fmt.Sprint(s.BusyRejections)},
-		{"retries_total", fmt.Sprint(s.Retries)},
-		{"resumes", fmt.Sprint(s.Resumes)},
-		{"sessions_parked", fmt.Sprint(s.Parked)},
-		{"panics_recovered", fmt.Sprint(s.PanicsRecovered)},
-	}
-	for _, r := range rows {
-		if err := tbl.AddRow(r.name, r.value); err != nil {
-			return err
-		}
-	}
-	return tbl.WriteText(buf)
-}
-
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4), the body of the HTTP /metrics endpoint. Only the
 // stdlib is involved: the format is line-oriented text, and every value
@@ -311,7 +266,7 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	counter("dbiserve_connections_accepted_total", "Connections accepted.", s.Conns)
-	counter("dbiserve_sessions_opened_total", "Session opens attempted (handshakes and msgOpen).", s.Accepted)
+	counter("dbiserve_sessions_opened_total", "Session opens attempted (msgOpen and refused handshakes).", s.Accepted)
 	counter("dbiserve_sessions_rejected_total", "Session opens refused.", s.Rejected)
 	gauge("dbiserve_sessions_active", "Sessions currently open.", s.Active)
 	counter("dbiserve_sessions_adaptive_total", "Adaptive sessions opened.", s.AdaptiveSessions)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,15 +11,16 @@ import (
 	"sync"
 
 	"dbiopt/internal/bus"
+	"dbiopt/internal/trace"
 )
 
-// MuxClient is the Go-side speaker of the multiplexed dbiserve protocol
-// (v3): one TCP connection carrying many logical sessions, each with its
-// own scheme and continuous per-lane wire state on the server. A MuxClient
-// is safe for concurrent use — calls from any session are serialised on an
-// internal mutex, because the protocol is strictly request/response per
-// connection. For pipelined (windowed, latency-measured) traffic, drive
-// the wire format directly as RunLoad does.
+// MuxClient is the Go-side speaker of the dbiserve protocol: one TCP
+// connection carrying many logical sessions, each with its own scheme and
+// continuous per-lane wire state on the server. A MuxClient is safe for
+// concurrent use — calls from any session are serialised on an internal
+// mutex, because the client drives the connection request/response. For
+// pipelined (windowed, latency-measured) traffic, drive the wire format
+// directly as RunLoad does.
 type MuxClient struct {
 	mu     sync.Mutex
 	conn   net.Conn
@@ -69,10 +71,10 @@ type MuxSession struct {
 	mirSw     []uint32
 }
 
-// DialMux connects to a dbiserve instance as a protocol-v3 multiplexed
-// connection. def supplies the connection defaults a session's Open config
-// may lean on (scheme, weights, adaptive settings); its geometry defaults
-// to 1 lane × bus.BurstLength beats, as Dial's does.
+// DialMux connects to a dbiserve instance. def supplies the connection
+// defaults a session's Open config may lean on (scheme, weights, adaptive
+// settings); its geometry defaults to 1 lane × bus.BurstLength beats, as
+// Dial's does.
 func DialMux(addr string, def SessionConfig) (*MuxClient, error) {
 	return DialMuxOpts(addr, def, MuxOptions{})
 }
@@ -114,7 +116,7 @@ func DialMuxOpts(addr string, def SessionConfig, opts MuxOptions) (*MuxClient, e
 func (c *MuxClient) attach(conn net.Conn) error {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	if err := writeHandshake(w, protocolV3, true, c.def); err != nil {
+	if err := writeHandshake(w, c.def); err != nil {
 		conn.Close()
 		return err
 	}
@@ -122,7 +124,7 @@ func (c *MuxClient) attach(conn net.Conn) error {
 		conn.Close()
 		return err
 	}
-	if _, err := readReply(r); err != nil {
+	if err := readReply(r); err != nil {
 		conn.Close()
 		return err
 	}
@@ -160,9 +162,8 @@ func (c *MuxClient) sendBare(typ byte, payload []byte) error {
 	return c.w.Flush()
 }
 
-// recv reads one reply, splitting off the session-id prefix (which
-// msgMetricsReply alone does not carry). The body aliases the client's
-// receive buffer. Caller holds c.mu.
+// recv reads one reply, splitting off the session-id prefix. The body
+// aliases the client's receive buffer. Caller holds c.mu.
 func (c *MuxClient) recv() (typ byte, sid uint64, body []byte, err error) {
 	gotTyp, n, err := readHeader(c.r, &c.hdr)
 	if err != nil {
@@ -174,9 +175,6 @@ func (c *MuxClient) recv() (typ byte, sid uint64, body []byte, err error) {
 	buf := c.payload[:n]
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return 0, 0, nil, fmt.Errorf("server: reading reply payload: %w", err)
-	}
-	if gotTyp == msgMetricsReply {
-		return gotTyp, 0, buf, nil
 	}
 	sid, sn := binary.Uvarint(buf)
 	if sn <= 0 {
@@ -195,8 +193,8 @@ func (c *MuxClient) roundTrip(typ byte, sid uint64, payload []byte, want byte) (
 		return nil, fmt.Errorf("server: client is closed")
 	}
 	var err error
-	if typ == msgMetrics || typ == msgQuit || typ == msgResume {
-		// Connection-scoped requests — and msgResume, whose payload
+	if typ == msgQuit || typ == msgResume {
+		// The connection-scoped request — and msgResume, whose payload
 		// already leads with its (new) session id.
 		err = c.sendBare(typ, payload)
 	} else {
@@ -228,7 +226,7 @@ func (c *MuxClient) roundTrip(typ byte, sid uint64, payload []byte, want byte) (
 			}
 			return nil, fmt.Errorf("server: %s", body)
 		case want:
-			if gotTyp != msgMetricsReply && gotSid != sid {
+			if gotSid != sid {
 				return nil, fmt.Errorf("server: reply for session %d, want %d", gotSid, sid)
 			}
 			return body, nil
@@ -256,19 +254,14 @@ func (c *MuxClient) Open(cfg SessionConfig) (*MuxSession, error) {
 	defer c.mu.Unlock()
 	c.nextID++
 	sid := c.nextID
-	body, err := c.roundTrip(msgOpen, sid, appendConfigBody(nil, cfg, false), msgOpenReply)
+	body, err := c.roundTrip(msgOpen, sid, appendConfigBody(nil, cfg), msgOpenReply)
 	if err != nil {
 		return nil, err
 	}
-	if len(body) < 3 {
-		return nil, fmt.Errorf("server: open reply of %d bytes is truncated", len(body))
+	status, text, err := parseOpenReplyBody(body)
+	if err != nil {
+		return nil, err
 	}
-	status := body[0]
-	ln := int(binary.LittleEndian.Uint16(body[1:3]))
-	if len(body) != 3+ln {
-		return nil, fmt.Errorf("server: open reply of %d bytes is malformed", len(body))
-	}
-	text := string(body[3:])
 	if status != statusOK {
 		return nil, statusErr(status, text)
 	}
@@ -294,17 +287,6 @@ func (c *MuxClient) Open(cfg SessionConfig) (*MuxSession, error) {
 	}
 	c.sessions[sid] = sess
 	return sess, nil
-}
-
-// Metrics fetches the server-wide metrics rendered as text.
-func (c *MuxClient) Metrics() (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	reply, err := c.roundTrip(msgMetrics, 0, nil, msgMetricsReply)
-	if err != nil {
-		return "", err
-	}
-	return string(reply), nil
 }
 
 // Close ends the connection gracefully: the server replies with the
@@ -355,6 +337,14 @@ func (s *MuxSession) Switches() []SwitchNote {
 // and the returned inversion masks. The frame must match the session
 // geometry.
 func (s *MuxSession) EncodeFrame(f bus.Frame) ([]bus.Wire, error) {
+	// The payload is staged in the shared frameBuf, which the resume mirror
+	// reads back after the reply: both happen under the client mutex, or a
+	// concurrent call could swap the payload while it is on the wire.
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("server: session is closed")
+	}
 	if f.Lanes() != s.cfg.Lanes {
 		return nil, fmt.Errorf("server: frame has %d lanes, session has %d", f.Lanes(), s.cfg.Lanes)
 	}
@@ -363,11 +353,6 @@ func (s *MuxSession) EncodeFrame(f bus.Frame) ([]bus.Wire, error) {
 			return nil, fmt.Errorf("server: lane %d burst has %d beats, session has %d", l, len(b), s.cfg.Beats)
 		}
 		copy(s.frameBuf[l*s.cfg.Beats:], b)
-	}
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("server: session is closed")
 	}
 	masks, err := s.c.roundTrip(msgFrame, s.id, s.frameBuf, msgMasks)
 	recovered := false
@@ -397,8 +382,11 @@ func (s *MuxSession) EncodeFrame(f bus.Frame) ([]bus.Wire, error) {
 }
 
 // EncodeBatch transmits a batch of frames as one message and returns the
-// session's cumulative totals afterwards, exactly as Client.EncodeBatch
-// does.
+// session's cumulative totals afterwards. The batch travels as one binary
+// trace blob (the internal/trace format), lane by lane in frame order; the
+// server validates it whole, then encodes it frame by frame through the
+// session's lane set, exactly as trace.FrameReader would replay it
+// offline.
 func (s *MuxSession) EncodeBatch(frames []bus.Frame) (Totals, error) {
 	for i, f := range frames {
 		if f.Lanes() != s.cfg.Lanes {
@@ -412,8 +400,30 @@ func (s *MuxSession) EncodeBatch(frames []bus.Frame) (Totals, error) {
 	return s.EncodeTrace(blob)
 }
 
-// EncodeTrace transmits a pre-serialised binary trace blob ("DBIT" format)
-// as one batch. The blob's beat count must match the session's.
+// encodeTraceBlob serialises frames into one in-memory "DBIT" trace, lane
+// by lane in frame order — the batch payload representation.
+func encodeTraceBlob(frames []bus.Frame, beats int) ([]byte, error) {
+	var blob bytes.Buffer
+	tw, err := trace.NewWriter(&blob, beats)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range frames {
+		for _, b := range f {
+			if err := tw.Write(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := tw.Close(); err != nil {
+		return nil, err
+	}
+	return blob.Bytes(), nil
+}
+
+// EncodeTrace transmits a pre-serialised binary trace blob ("DBIT" format,
+// as written by trace.Writer or dbitrace gen) as one batch. The blob's beat
+// count must match the session's.
 func (s *MuxSession) EncodeTrace(blob []byte) (Totals, error) {
 	if s.token != 0 {
 		// Mirrors the server-side rejection: one frame of reply history

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"reflect"
 	"strings"
@@ -15,12 +16,12 @@ import (
 	"dbiopt/internal/racetag"
 )
 
-// TestServeMuxEquivalence pins the tentpole acceptance criterion: one
-// hundred multiplexed v3 sessions sharing a single socket produce wire
-// images, totals and switch notices bit-identical to one hundred separate
-// v2 connections running the same workloads against the same server —
-// static and adaptive sessions mixed, drives interleaved by a worker pool
-// so session frames genuinely mingle on the shared connection.
+// TestServeMuxEquivalence pins the multiplexing contract: one hundred
+// sessions sharing a single socket produce wire images, totals and switch
+// notices bit-identical to one hundred dedicated one-session connections
+// (Dial) running the same workloads against the same server — static and
+// adaptive sessions mixed, drives interleaved by a worker pool so session
+// frames genuinely mingle on the shared connection.
 func TestServeMuxEquivalence(t *testing.T) {
 	const sessions, lanes, beats = 100, 2, 8
 	schemes := []string{"OPT-FIXED", "DC", "AC", "ACDC", "GREEDY"}
@@ -47,12 +48,12 @@ func TestServeMuxEquivalence(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("session %d: mux open: %w", i, err)
 		}
-		v2, err := Dial(s.Addr().String(), cfg)
+		ded, err := Dial(s.Addr().String(), cfg)
 		if err != nil {
-			return fmt.Errorf("session %d: v2 dial: %w", i, err)
+			return fmt.Errorf("session %d: dedicated dial: %w", i, err)
 		}
-		if ms.Scheme() != v2.Scheme() {
-			return fmt.Errorf("session %d: resolved scheme %q (mux) != %q (v2)", i, ms.Scheme(), v2.Scheme())
+		if ms.Scheme() != ded.Scheme() {
+			return fmt.Errorf("session %d: resolved scheme %q (mux) != %q (dedicated)", i, ms.Scheme(), ded.Scheme())
 		}
 
 		// Singles (comparing every wire image), one batch in the middle,
@@ -63,13 +64,13 @@ func TestServeMuxEquivalence(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("mux frame: %w", err)
 			}
-			vw, err := v2.EncodeFrame(f)
+			dw, err := ded.EncodeFrame(f)
 			if err != nil {
-				return fmt.Errorf("v2 frame: %w", err)
+				return fmt.Errorf("dedicated frame: %w", err)
 			}
-			for l := range vw {
-				if mw[l].String() != vw[l].String() {
-					return fmt.Errorf("lane %d: mux wire %s != v2 wire %s", l, mw[l], vw[l])
+			for l := range dw {
+				if mw[l].String() != dw[l].String() {
+					return fmt.Errorf("lane %d: mux wire %s != dedicated wire %s", l, mw[l], dw[l])
 				}
 			}
 			return nil
@@ -82,8 +83,8 @@ func TestServeMuxEquivalence(t *testing.T) {
 		if _, err := ms.EncodeBatch(fs[batchLo:batchHi]); err != nil {
 			return fmt.Errorf("session %d: mux batch: %w", i, err)
 		}
-		if _, err := v2.EncodeBatch(fs[batchLo:batchHi]); err != nil {
-			return fmt.Errorf("session %d: v2 batch: %w", i, err)
+		if _, err := ded.EncodeBatch(fs[batchLo:batchHi]); err != nil {
+			return fmt.Errorf("session %d: dedicated batch: %w", i, err)
 		}
 		for _, f := range fs[batchHi:] {
 			if err := check(f); err != nil {
@@ -95,15 +96,15 @@ func TestServeMuxEquivalence(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("session %d: mux close: %w", i, err)
 		}
-		vt, err := v2.Close()
+		dt, err := ded.Close()
 		if err != nil {
-			return fmt.Errorf("session %d: v2 close: %w", i, err)
+			return fmt.Errorf("session %d: dedicated close: %w", i, err)
 		}
-		if mt != vt {
-			return fmt.Errorf("session %d: mux totals %+v != v2 totals %+v", i, mt, vt)
+		if mt != dt {
+			return fmt.Errorf("session %d: mux totals %+v != dedicated totals %+v", i, mt, dt)
 		}
-		if !reflect.DeepEqual(ms.Switches(), v2.Switches()) {
-			return fmt.Errorf("session %d: mux switches %v != v2 switches %v", i, ms.Switches(), v2.Switches())
+		if !reflect.DeepEqual(ms.Switches(), ded.Switches()) {
+			return fmt.Errorf("session %d: mux switches %v != dedicated switches %v", i, ms.Switches(), ded.Switches())
 		}
 		return nil
 	}
@@ -137,29 +138,29 @@ func TestServeMuxEquivalence(t *testing.T) {
 	}
 }
 
-// TestServeV2WireBytes pins the backward-compatibility acceptance
-// criterion at the byte level: a hand-rolled v2 conversation — handshake,
-// frame, totals, quit, every request byte written literally — round-trips
-// against the v3 server with byte-for-byte identical replies, the reply
-// bytes derived independently from an offline LaneSet replay rather than
-// from any client code. If the v3 rework shifted a single v2 wire byte,
-// this test names its offset.
-func TestServeV2WireBytes(t *testing.T) {
+// TestServeWireBytes pins the protocol at the byte level: a hand-rolled
+// conversation — handshake, open, frames, totals, close, quit, every
+// request byte written literally — round-trips with byte-for-byte expected
+// replies, the reply bytes derived independently from an offline LaneSet
+// replay rather than from any client code. The session id is 300, so every
+// prefix is a two-byte uvarint. If a single wire byte shifts, this test
+// names its offset.
+func TestServeWireBytes(t *testing.T) {
 	const lanes, beats = 2, 8
 	s := startServer(t, Config{})
 	fs := randomFrames(77, 3, lanes, beats)
+	sid := []byte{0xac, 0x02} // uvarint 300
 
-	// The handshake, spelled out: magic, version 2, geometry, OPT-FIXED
-	// weights (zero = server default), scheme, no flags.
-	hs := []byte{'D', 'B', 'I', 'S', 2, beats}
+	// The handshake, spelled out: magic, version 3, geometry, zero weights
+	// (= server default), no default scheme, the mux flag.
+	hs := []byte{'D', 'B', 'I', 'S', 3, beats}
 	hs = append(hs, byte(lanes), 0) // lanes u16 LE
 	hs = append(hs, make([]byte, 16)...)
-	hs = append(hs, byte(len("OPT-FIXED")), 0) // schemeLen, flags
-	hs = append(hs, "OPT-FIXED"...)
+	hs = append(hs, 0, flagMux) // schemeLen, flags
 
 	// Pin the client-side writer to the same bytes before using them.
 	var hw strings.Builder
-	if err := writeHandshake(&hw, protocolV2, false, SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats}); err != nil {
+	if err := writeHandshake(&hw, SessionConfig{Lanes: lanes, Beats: beats}); err != nil {
 		t.Fatal(err)
 	}
 	if hw.String() != string(hs) {
@@ -179,35 +180,47 @@ func TestServeV2WireBytes(t *testing.T) {
 		}
 		return buf
 	}
-	if _, err := nc.Write(hs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Handshake reply: magic, the *negotiated* version (a v2 client must
-	// see 2 echoed back, not the server's own 3), ok, and the scheme name.
-	wantReply := []byte{'D', 'B', 'I', 'O', 2, 0, byte(len("OPT-FIXED")), 0}
-	wantReply = append(wantReply, "OPT-FIXED"...)
-	if got := mustRead(len(wantReply), "handshake reply"); string(got) != string(wantReply) {
-		t.Fatalf("handshake reply:\n got %x\nwant %x", got, wantReply)
-	}
-
-	// Frames: 5-byte header (type, payload len u32 LE), lane-major payload;
-	// the expected msgMasks reply bytes come from an offline replay — mask
-	// bit k set iff the offline wire drove beat k inverted (DBI low).
-	offline := replayOffline(t, "OPT-FIXED", dbi.FixedWeights, nil, lanes)
-	var total Totals
-	raw := replayOffline(t, "RAW", dbi.Weights{}, nil, lanes)
-	for fi, f := range fs {
-		msg := []byte{msgFrame}
-		msg = binary.LittleEndian.AppendUint32(msg, uint32(lanes*beats))
-		for _, b := range f {
-			msg = append(msg, b...)
+	// msg frames one request: type, payload length u32 LE, payload.
+	msg := func(typ byte, payload ...[]byte) []byte {
+		var body []byte
+		for _, p := range payload {
+			body = append(body, p...)
 		}
-		if _, err := nc.Write(msg); err != nil {
+		return append(binary.LittleEndian.AppendUint32([]byte{typ}, uint32(len(body))), body...)
+	}
+	exchange := func(req, want []byte, what string) {
+		t.Helper()
+		if _, err := nc.Write(req); err != nil {
 			t.Fatal(err)
 		}
-		want := []byte{msgMasks}
-		want = binary.LittleEndian.AppendUint32(want, uint32(lanes*maskBytes(beats)))
+		if got := mustRead(len(want), what); string(got) != string(want) {
+			t.Fatalf("%s:\n got %x\nwant %x", what, got, want)
+		}
+	}
+
+	// Handshake reply: magic, version 3, ok, empty text.
+	exchange(hs, []byte{'D', 'B', 'I', 'O', 3, 0, 0, 0}, "handshake reply")
+
+	// Open: session id, then a config body in the handshake layout naming
+	// OPT-FIXED. The reply leads with the id, then ok and the scheme name.
+	cfg := []byte{beats, byte(lanes), 0}
+	cfg = append(cfg, make([]byte, 16)...)
+	cfg = append(cfg, byte(len("OPT-FIXED")), 0)
+	cfg = append(cfg, "OPT-FIXED"...)
+	openReply := append(append([]byte{}, sid...), 0, byte(len("OPT-FIXED")), 0)
+	exchange(msg(msgOpen, sid, cfg), msg(msgOpenReply, openReply, []byte("OPT-FIXED")), "open reply")
+
+	// Frames: id-prefixed lane-major payload; the expected msgMasks reply
+	// bytes come from an offline replay — mask bit k set iff the offline
+	// wire drove beat k inverted (DBI low).
+	offline := replayOffline(t, "OPT-FIXED", dbi.FixedWeights, nil, lanes)
+	raw := replayOffline(t, "RAW", dbi.Weights{}, nil, lanes)
+	var total Totals
+	for fi, f := range fs {
+		var payload, masks []byte
+		for _, b := range f {
+			payload = append(payload, b...)
+		}
 		for _, w := range offline.Transmit(f) {
 			mb := make([]byte, maskBytes(beats))
 			for k, ni := range w.DBI {
@@ -215,11 +228,9 @@ func TestServeV2WireBytes(t *testing.T) {
 					mb[k>>3] |= 1 << (k & 7)
 				}
 			}
-			want = append(want, mb...)
+			masks = append(masks, mb...)
 		}
-		if got := mustRead(len(want), "masks reply"); string(got) != string(want) {
-			t.Fatalf("frame %d masks reply:\n got %x\nwant %x", fi, got, want)
-		}
+		exchange(msg(msgFrame, sid, payload), msg(msgMasks, sid, masks), fmt.Sprintf("frame %d masks reply", fi))
 		raw.Transmit(f)
 		total.Frames++
 		total.Beats += lanes * beats
@@ -227,19 +238,72 @@ func TestServeV2WireBytes(t *testing.T) {
 	total.Coded = offline.TotalCost()
 	total.Raw = raw.TotalCost()
 
-	// Totals request then quit: both reply with the same 56-byte record.
-	wantTotals := []byte{msgTotalsReply}
-	wantTotals = binary.LittleEndian.AppendUint32(wantTotals, totalsLen)
+	// Totals, then close: both reply with the session's 56-byte record.
 	tb := make([]byte, totalsLen)
 	putTotals(tb, total)
-	wantTotals = append(wantTotals, tb...)
-	for _, req := range []byte{msgTotals, msgQuit} {
-		if _, err := nc.Write([]byte{req, 0, 0, 0, 0}); err != nil {
-			t.Fatal(err)
-		}
-		if got := mustRead(len(wantTotals), "totals reply"); string(got) != string(wantTotals) {
-			t.Fatalf("%q totals reply:\n got %x\nwant %x", req, got, wantTotals)
-		}
+	exchange(msg(msgTotals, sid), msg(msgTotalsReply, sid, tb), "totals reply")
+	exchange(msg(msgCloseSess, sid), msg(msgTotalsReply, sid, tb), "close reply")
+
+	// Quit: the aggregate over the still-open sessions — none — under
+	// session id 0, then the server closes the connection.
+	exchange(msg(msgQuit), msg(msgTotalsReply, []byte{0}, make([]byte, totalsLen)), "quit reply")
+	if n, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after quit: read %d bytes, err %v; want EOF", n, err)
+	}
+}
+
+// TestMuxSessionConcurrentEncodeFrame: a MuxSession is safe for concurrent
+// use, so goroutines sharing one session must each get back the wire
+// images of their own payloads. Under DC every served beat then drives at
+// most four of its nine lines (eight DQ plus DBI) low; a payload swapped in
+// the shared send buffer mid-call would apply another frame's masks and
+// break that.
+func TestMuxSessionConcurrentEncodeFrame(t *testing.T) {
+	const lanes, beats, workers, frames = 2, 8, 4, 200
+	s := startServer(t, Config{})
+	mc, err := DialMux(s.Addr().String(), SessionConfig{Lanes: lanes, Beats: beats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	ms, err := mc.Open(SessionConfig{Scheme: "DC", Lanes: lanes, Beats: beats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, f := range randomFrames(int64(900+w), frames, lanes, beats) {
+				wires, err := ms.EncodeFrame(f)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for l, wire := range wires {
+					for k, d := range wire.Data {
+						zeros := 8 - bits.OnesCount8(d)
+						if !wire.DBI[k] {
+							zeros++
+						}
+						if zeros > 4 {
+							errs <- fmt.Errorf("worker %d frame %d lane %d beat %d: %d of 9 lines low under DC", w, i, l, k, zeros)
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if tot, err := ms.Totals(); err != nil || tot.Frames != workers*frames {
+		t.Fatalf("session totals %+v (%v), want %d frames", tot, err, workers*frames)
 	}
 }
 

@@ -4,12 +4,16 @@
 // per-lane wire state — the serving-side counterpart of the offline
 // Stream/LaneSet drivers, with bit-identical results.
 //
-// The wire protocol (DESIGN.md §6) deliberately reuses the vocabulary the
-// offline tools already speak:
+// The wire protocol (DESIGN.md §6) is protocol v3 with the mux flag, and
+// nothing else. It deliberately reuses the vocabulary the offline tools
+// already speak:
 //
 //   - a connection opens with a fixed handshake naming the protocol version
-//     and (for single-session connections) the scheme, the weights and the
-//     bus geometry (lanes × beats);
+//     and the connection's session defaults (scheme, weights, bus geometry);
+//   - one socket carries any number of logical sessions, each its own
+//     LaneSet and scheme (or adaptive controller), opened and closed
+//     explicitly with msgOpen/msgCloseSess; every message payload is
+//     prefixed with its session id as a uvarint;
 //   - single frames travel as the raw lanes×beats payload bytes, answered
 //     with the per-beat DBI inversion masks — payload plus mask is the whole
 //     wire image, exactly as bus.Wire defines it;
@@ -19,17 +23,13 @@
 //     is validated whole, then encoded frame by frame in place, through the
 //     same lane set as single frames.
 //
-// Protocol v3 adds multiplexed connections: with the mux handshake flag,
-// one socket carries thousands of logical sessions, each its own LaneSet
-// and scheme (or adaptive controller). Every message on a mux connection
-// prefixes its payload with the session id as a uvarint; sessions open and
-// close explicitly with msgOpen/msgCloseSess. v2 single-session clients are
-// still accepted bit-identically.
+// A one-session client (Dial, Client) is a MuxClient with one open session;
+// there is no second protocol and no second client implementation.
 //
 // Per-session state lives in one LaneSet, so interleaved frames and batches
 // see one continuous per-lane Markov chain, and the steady-state frame path
-// performs zero heap allocations per burst (the PR 2 EncodeInto property,
-// carried over the network).
+// performs zero heap allocations per burst (the offline EncodeInto
+// property, carried over the network).
 package server
 
 import (
@@ -49,19 +49,12 @@ const (
 	helloMagic = "DBIS"
 	// replyMagic opens the server's handshake response.
 	replyMagic = "DBIO"
-	// protocolV2 is the single-session protocol revision: one session per
-	// TCP connection, negotiated entirely in the handshake. v2 added the
-	// handshake flags byte, the adaptive-session block, the SWITCH notice
-	// and the Switches totals counter.
-	protocolV2 = 2
-	// protocolV3 adds multiplexed connections (the flagMux handshake bit):
-	// every message payload is prefixed with a uvarint session id, and
-	// sessions open/close explicitly with msgOpen/msgCloseSess. A v3
-	// handshake without flagMux behaves exactly like v2 (one implicit
-	// session), apart from the version byte echoed in the reply.
-	protocolV3 = 3
-	// protocolVersion is the newest protocol revision this package speaks.
-	protocolVersion = protocolV3
+	// protocolVersion is the one protocol revision this package speaks:
+	// v3, multiplexed (the flagMux handshake bit is mandatory). Every
+	// message payload is prefixed with a uvarint session id, and sessions
+	// open/close explicitly with msgOpen/msgCloseSess. Earlier revisions
+	// (v1, v2 single-session) and non-mux v3 handshakes are refused.
+	protocolVersion = 3
 
 	// MaxLanes bounds the per-session lane count a handshake may request.
 	MaxLanes = 4096
@@ -73,84 +66,76 @@ const (
 
 // Message types, client to server.
 const (
-	// msgFrame carries one frame as lanes×beats raw payload bytes; the
-	// server answers msgMasks. On mux connections the payload is prefixed
-	// with the uvarint session id.
+	// msgFrame carries one frame: uvarint session id, then lanes×beats raw
+	// payload bytes; the server answers msgMasks.
 	msgFrame = 'F'
-	// msgBatch carries a complete "DBIT" trace blob (internal/trace binary
-	// format); the server encodes it and answers msgTotals. Mux: uvarint
-	// session id prefix.
+	// msgBatch carries a uvarint session id and a complete "DBIT" trace
+	// blob (internal/trace binary format); the server encodes it and
+	// answers msgTotalsReply.
 	msgBatch = 'B'
 	// msgTotals requests the session's cumulative totals; answered with
-	// msgTotalsReply. Mux: the payload is the uvarint session id.
+	// msgTotalsReply. The payload is the uvarint session id.
 	msgTotals = 'T'
-	// msgMetrics requests the server-wide metrics text; answered with
-	// msgMetricsReply. Connection-scoped: never carries a session id.
-	msgMetrics = 'S'
 	// msgQuit ends the connection: the server answers msgTotalsReply with
-	// the final totals (on mux connections: the aggregate over every
-	// still-open session, session id 0) and closes the connection.
+	// the aggregate totals over every still-open session (session id 0)
+	// and closes the connection.
 	msgQuit = 'Q'
-	// msgOpen (v3 mux only) opens a logical session: uvarint session id
-	// (client-chosen, nonzero, unused) followed by a session-config body —
-	// the same encoding the handshake uses after its magic and version
-	// bytes. Answered with msgOpenReply; a failed open rejects that
-	// session only, the connection survives.
+	// msgOpen opens a logical session: uvarint session id (client-chosen,
+	// nonzero, unused) followed by a session-config body — the same encoding
+	// the handshake uses after its magic and version bytes. Answered with
+	// msgOpenReply; a failed open rejects that session only, the connection
+	// survives.
 	msgOpen = 'O'
-	// msgCloseSess (v3 mux only) closes one logical session: the payload
-	// is the uvarint session id, the answer the session's final
-	// msgTotalsReply.
+	// msgCloseSess closes one logical session: the payload is the uvarint
+	// session id, the answer the session's final msgTotalsReply.
 	msgCloseSess = 'D'
-	// msgResume (v3 mux only) re-opens a session under a fresh connection
-	// after the previous one died: uvarint new session id, the session
-	// config body (flagResume set, carrying the resume token), the client's
-	// claimed wire state (cumulative totals plus the per-lane coded and raw
-	// line states, and the adaptive per-lane live scheme and switch counts),
-	// and an FNV-64a checksum over everything before it. Answered with
-	// msgResumeReply. The server reattaches the parked session when the
-	// claimed state reconciles with the live chain, or rebuilds one seeded
-	// at the claimed state when the parked session already expired.
+	// msgResume re-opens a session under a fresh connection after the previous
+	// one died: uvarint new session id, the session config body (flagResume
+	// set, carrying the resume token), the client's claimed wire state
+	// (cumulative totals plus the per-lane coded and raw line states, and the
+	// adaptive per-lane live scheme and switch counts), and an FNV-64a checksum
+	// over everything before it. Answered with msgResumeReply. The server
+	// reattaches the parked session when the claimed state reconciles with the
+	// live chain, or rebuilds one seeded at the claimed state when the parked
+	// session already expired.
 	msgResume = 'U'
 )
 
 // Message types, server to client.
 const (
-	// msgMasks carries the per-lane inversion masks of one encoded frame:
-	// lanes × ⌈beats/8⌉ bytes, lane-major, bit t (LSB first) set when beat
-	// t transmits inverted. Mux: uvarint session id prefix.
+	// msgMasks carries the per-lane inversion masks of one encoded frame
+	// after the uvarint session id: lanes × ⌈beats/8⌉ bytes, lane-major,
+	// bit t (LSB first) set when beat t transmits inverted.
 	msgMasks = 'M'
-	// msgTotalsReply carries a session's cumulative Totals. Mux: uvarint
-	// session id prefix (0 for the msgQuit aggregate).
+	// msgTotalsReply carries a session's cumulative Totals after the
+	// uvarint session id (0 for the msgQuit aggregate).
 	msgTotalsReply = 'C'
-	// msgMetricsReply carries the server-wide metrics rendered as text.
-	msgMetricsReply = 'X'
-	// msgError carries an error description. On v2 connections the server
-	// closes after sending it. On mux connections the payload starts with
-	// the uvarint session id of the session the error concerns, and the
-	// connection survives; session id 0 marks a connection-fatal error.
+	// msgError carries an error description after the uvarint session id
+	// of the session it concerns; that session fails, the connection
+	// survives. Session id 0 marks a connection-fatal error, after which
+	// the server closes.
 	msgError = 'E'
 	// msgSwitch is the SWITCH marker of an adaptive session: the server's
 	// controller changed the live scheme on one lane. Notices are queued
 	// and sent immediately before the next reply, so a client always
 	// learns about a renegotiation no later than the reply to the message
-	// whose encoding caused it. Payload (after the mux session-id prefix):
+	// whose encoding caused it. Payload (after the session-id prefix):
 	// lane u16 | ordinal u32 | burst u64 | fromLen u8 | from | toLen u8 |
 	// to.
 	msgSwitch = 'W'
-	// msgOpenReply (v3 mux only) answers msgOpen: uvarint session id,
-	// status u8 (0 = accepted; see the status codes below), u16 text
-	// length, then the resolved scheme name (accepted) or the rejection
-	// reason.
+	// msgOpenReply answers msgOpen: uvarint session id, status u8 (0 =
+	// accepted; see the status codes below), u16 text length, then the resolved
+	// scheme name (accepted) or the rejection reason.
 	msgOpenReply = 'R'
-	// msgResumeReply (v3 mux only) answers msgResume: uvarint session id,
-	// status u8, mode u8 (0 = reattached, 1 = rebuilt), u16 text length +
-	// text (scheme name or rejection reason), and on success the server's
-	// current session totals, then — when the server is one frame ahead of
-	// the claim (the reply to the client's last frame was lost in the
-	// disconnect) — the packed inversion masks of that frame, so the client
-	// recovers the lost reply without re-encoding, and finally the per-lane
-	// adaptive state (live candidate + switch count), so a SWITCH notice
-	// lost with that reply cannot leave the client's mirror stale.
+	// msgResumeReply answers msgResume: uvarint session id, status u8, mode u8
+	// (0 = reattached, 1 = rebuilt), u16 text length + text (scheme name or
+	// rejection reason), and on success the server's current session totals,
+	// then — when the server is one frame ahead of the claim (the reply to the
+	// client's last frame was lost in the disconnect) — the packed inversion
+	// masks of that frame, so the client recovers the lost reply without
+	// re-encoding, and finally the per-lane adaptive state (live candidate +
+	// switch count), so a SWITCH notice lost with that reply cannot leave the
+	// client's mirror stale.
 	msgResumeReply = 'V'
 	// msgBusy is an overload rejection sent before any handshake exchange:
 	// when the accept path sheds a connection (MaxConns saturated with
@@ -162,9 +147,8 @@ const (
 )
 
 // Reply status codes, shared by the handshake reply byte, msgOpenReply,
-// msgResumeReply and msgBusy. Zero is success; old clients treat any
-// nonzero byte as a rejection, which remains correct — the codes refine
-// transient (busy, draining) from fatal without breaking the v2 wire.
+// msgResumeReply and msgBusy. Zero is success; the nonzero codes refine
+// transient (busy, draining) from fatal rejections.
 const (
 	statusOK       = 0
 	statusError    = 1 // fatal: malformed, rejected config, state mismatch
@@ -174,16 +158,17 @@ const (
 
 // Handshake flag bits.
 const (
-	// flagAdapt (v2) marks an adaptive-session request: the config body
+	// flagAdapt marks an adaptive-session request: the config body
 	// carries the adaptive block (window, margin, candidate names) after
 	// the scheme name.
 	flagAdapt = 1 << 0
-	// flagMux (v3) marks a multiplexed connection: no implicit session is
-	// created, the handshake's scheme and weights become the connection's
-	// defaults for msgOpen, and every subsequent message carries a uvarint
-	// session-id prefix.
+	// flagMux marks a multiplexed connection and is mandatory on the
+	// handshake: the handshake's scheme and weights become the
+	// connection's defaults for msgOpen, and every subsequent message
+	// carries a uvarint session-id prefix. It has no meaning on msgOpen
+	// and msgResume config bodies.
 	flagMux = 1 << 1
-	// flagResume (v3) marks a resumable session: the config body carries a
+	// flagResume marks a resumable session: the config body carries a
 	// nonzero u64 resume token after the adaptive block. A session opened
 	// with a token is parked — not closed — when its connection dies, and a
 	// later msgResume presenting the same token reattaches it. Only
@@ -193,7 +178,7 @@ const (
 )
 
 // SessionConfig is what a client asks of the server when opening a session
-// (the v2 handshake, or one msgOpen on a v3 mux connection).
+// (one msgOpen), and — as the handshake body — a connection's defaults.
 type SessionConfig struct {
 	// Scheme is the registered scheme name ("OPT-FIXED", "DC", ...); empty
 	// selects the connection's default (the mux handshake scheme), falling
@@ -232,7 +217,7 @@ type SessionConfig struct {
 	// unique per server; a colliding open is refused. Resumable sessions
 	// reject batch messages — batch replies carry only totals, which is not
 	// enough for the client to mirror the wire state a resume must claim.
-	// Mux sessions only (msgOpen/msgResume); the handshake rejects tokens.
+	// Per session only (msgOpen/msgResume); the handshake rejects tokens.
 	ResumeToken uint64
 }
 
@@ -274,19 +259,16 @@ func (c SessionConfig) Validate() error {
 // token u64].
 const configFixedLen = 1 + 2 + 8 + 8 + 1 + 1
 
+// configFlagsOff is the offset of the flags byte inside a config body.
+const configFlagsOff = 20
+
 // handshakeLen is the fixed part of the client handshake: magic, version,
 // then the fixed part of the config body.
 const handshakeLen = 4 + 1 + configFixedLen
 
-// handshakeLenV1 is the v1 fixed handshake length — one byte shorter (no
-// flags byte). Kept for the regression test that pins v1 rejection without
-// hanging: the version is checked before any version-dependent bytes are
-// read.
-const handshakeLenV1 = handshakeLen - 1
-
-// appendConfigBody serialises the session-config body onto dst. mux is
-// only meaningful on the handshake (v3), never on msgOpen.
-func appendConfigBody(dst []byte, c SessionConfig, mux bool) []byte {
+// appendConfigBody serialises the session-config body onto dst, without
+// flagMux (the handshake adds it).
+func appendConfigBody(dst []byte, c SessionConfig) []byte {
 	var fixed [configFixedLen]byte
 	fixed[0] = byte(c.Beats)
 	binary.LittleEndian.PutUint16(fixed[1:3], uint16(c.Lanes))
@@ -294,13 +276,10 @@ func appendConfigBody(dst []byte, c SessionConfig, mux bool) []byte {
 	binary.LittleEndian.PutUint64(fixed[11:19], math.Float64bits(c.Beta))
 	fixed[19] = byte(len(c.Scheme))
 	if c.Adapt {
-		fixed[20] |= flagAdapt
-	}
-	if mux {
-		fixed[20] |= flagMux
+		fixed[configFlagsOff] |= flagAdapt
 	}
 	if c.ResumeToken != 0 {
-		fixed[20] |= flagResume
+		fixed[configFlagsOff] |= flagResume
 	}
 	dst = append(dst, fixed[:]...)
 	dst = append(dst, c.Scheme...)
@@ -323,21 +302,17 @@ func appendConfigBody(dst []byte, c SessionConfig, mux bool) []byte {
 	return dst
 }
 
-// readConfigBody parses a session-config body from r. Unknown flag bits are
-// rejected, not ignored: a flag implies an appended block this version
-// would not consume, which would desync the message stream into confusing
-// downstream errors. flagMux is only known to v3.
-func readConfigBody(r io.Reader, version int) (c SessionConfig, mux bool, err error) {
+// readConfigBody parses a session-config body from r, reporting whether
+// flagMux was set. Unknown flag bits are rejected, not ignored: a flag
+// implies an appended block this version would not consume, which would
+// desync the message stream into confusing downstream errors.
+func readConfigBody(r io.Reader) (c SessionConfig, mux bool, err error) {
 	var fixed [configFixedLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return SessionConfig{}, false, fmt.Errorf("server: reading handshake: %w", err)
 	}
-	known := byte(flagAdapt)
-	if version >= protocolV3 {
-		known |= flagMux | flagResume
-	}
-	flags := fixed[20]
-	if unknown := flags &^ known; unknown != 0 {
+	flags := fixed[configFlagsOff]
+	if unknown := flags &^ (flagAdapt | flagMux | flagResume); unknown != 0 {
 		return SessionConfig{}, false, fmt.Errorf("server: unsupported handshake flags %#x", unknown)
 	}
 	c = SessionConfig{
@@ -393,9 +368,9 @@ func readConfigBody(r io.Reader, version int) (c SessionConfig, mux bool, err er
 
 // parseConfigBody parses a session-config body from a complete payload
 // slice (the msgOpen path), rejecting trailing bytes.
-func parseConfigBody(b []byte, version int) (SessionConfig, error) {
+func parseConfigBody(b []byte) (SessionConfig, error) {
 	br := bytes.NewReader(b)
-	c, _, err := readConfigBody(br, version)
+	c, _, err := readConfigBody(br)
 	if err != nil {
 		return SessionConfig{}, err
 	}
@@ -406,9 +381,9 @@ func parseConfigBody(b []byte, version int) (SessionConfig, error) {
 }
 
 // writeHandshake serialises a connection request onto w: magic, version,
-// then the session-config body (for a mux connection, the config is the
-// connection's defaults for msgOpen rather than an implicit session).
-func writeHandshake(w io.Writer, version int, mux bool, c SessionConfig) error {
+// then the session-config body with flagMux set — the config is the
+// connection's defaults for msgOpen.
+func writeHandshake(w io.Writer, c SessionConfig) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
@@ -417,54 +392,55 @@ func writeHandshake(w io.Writer, version int, mux bool, c SessionConfig) error {
 	}
 	buf := make([]byte, 5, handshakeLen+len(c.Scheme))
 	copy(buf, helloMagic)
-	buf[4] = byte(version)
-	buf = appendConfigBody(buf, c, mux)
+	buf[4] = protocolVersion
+	buf = appendConfigBody(buf, c)
+	buf[5+configFlagsOff] |= flagMux
 	_, err := w.Write(buf)
 	return err
 }
+
+// protocolHint ends the rejection every handshake other than v3-with-mux
+// gets, telling an old client what to speak instead.
+const protocolHint = "this server speaks protocol v3 with the mux flag"
 
 // readHandshake parses a connection request from r. The version is checked
 // before any version-dependent bytes are read, so an old client's (shorter)
 // handshake is answered with a version error instead of blocking the accept
 // slot forever on bytes that will never arrive.
-func readHandshake(r io.Reader) (c SessionConfig, version int, mux bool, err error) {
+func readHandshake(r io.Reader) (SessionConfig, error) {
 	var pre [5]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return SessionConfig{}, 0, false, fmt.Errorf("server: reading handshake: %w", err)
+		return SessionConfig{}, fmt.Errorf("server: reading handshake: %w", err)
 	}
 	if string(pre[:4]) != helloMagic {
-		return SessionConfig{}, 0, false, fmt.Errorf("server: bad handshake magic %q", pre[:4])
+		return SessionConfig{}, fmt.Errorf("server: bad handshake magic %q", pre[:4])
 	}
-	version = int(pre[4])
-	if version != protocolV2 && version != protocolV3 {
-		return SessionConfig{}, 0, false, fmt.Errorf("server: unsupported protocol version %d", version)
+	if pre[4] != protocolVersion {
+		return SessionConfig{}, fmt.Errorf("server: unsupported protocol version %d; %s", pre[4], protocolHint)
 	}
-	c, mux, err = readConfigBody(r, version)
+	c, mux, err := readConfigBody(r)
 	if err != nil {
-		return SessionConfig{}, 0, false, err
+		return SessionConfig{}, err
 	}
-	if mux && version < protocolV3 {
-		return SessionConfig{}, 0, false, fmt.Errorf("server: multiplexing requires protocol v3")
+	if !mux {
+		return SessionConfig{}, fmt.Errorf("server: handshake without the mux flag; %s", protocolHint)
 	}
 	if c.ResumeToken != 0 {
-		return SessionConfig{}, 0, false, fmt.Errorf("server: resume tokens are per-session (msgOpen), not a connection default")
+		return SessionConfig{}, fmt.Errorf("server: resume tokens are per-session (msgOpen), not a connection default")
 	}
-	return c, version, mux, nil
+	return c, nil
 }
 
-// writeReply sends the server's handshake response, echoing the negotiated
-// protocol version: statusOK carries the resolved scheme name (empty on a
-// mux connection, whose sessions resolve at msgOpen), any other status the
-// error text (after which the server closes). Old clients treat any
-// nonzero status byte as a rejection, so refining the byte into the typed
-// codes did not move the v2 wire.
-func writeReply(w io.Writer, version int, status byte, msg string) error {
+// writeReply sends the server's handshake response: statusOK with an
+// empty text (sessions resolve their schemes at msgOpen), any other status
+// the error text, after which the server closes.
+func writeReply(w io.Writer, status byte, msg string) error {
 	if len(msg) > math.MaxUint16 {
 		msg = msg[:math.MaxUint16]
 	}
 	buf := make([]byte, 8, 8+len(msg))
 	copy(buf, replyMagic)
-	buf[4] = byte(version)
+	buf[4] = protocolVersion
 	buf[5] = status
 	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(msg)))
 	buf = append(buf, msg...)
@@ -490,18 +466,15 @@ func appendBusyFrame(dst []byte, status byte, msg string) []byte {
 	return dst
 }
 
-// readReply parses the server's handshake response, returning the resolved
-// scheme name or the server's rejection as an error — typed (ErrBusy,
-// ErrDraining) when the status code marks the rejection transient. Both v2
-// and v3 version bytes are accepted: the server echoes whatever the client
-// spoke (and answers an unparseable handshake with the newest version). A
-// shed connection never sends the handshake reply at all: it answers the
+// readReply parses the server's handshake response, returning the server's
+// rejection as an error — typed (ErrBusy, ErrDraining) when the status
+// code marks the rejection transient. A shed connection never sends the handshake reply at all: it answers the
 // dial with a msgBusy frame, which this parser detects by the leading 'Y'
 // and maps to the same typed errors.
-func readReply(r io.Reader) (string, error) {
+func readReply(r io.Reader) error {
 	var buf [8]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return "", fmt.Errorf("server: reading handshake reply: %w", err)
+		return fmt.Errorf("server: reading handshake reply: %w", err)
 	}
 	if buf[0] == msgBusy {
 		// A shed frame is at least 8 bytes (5-byte header + status + u16
@@ -509,31 +482,28 @@ func readReply(r io.Reader) (string, error) {
 		n := binary.LittleEndian.Uint32(buf[1:5])
 		ln := int(binary.LittleEndian.Uint16(buf[6:8]))
 		if n > MaxPayload || int(n) != 3+ln {
-			return "", fmt.Errorf("server: malformed busy frame")
+			return fmt.Errorf("server: malformed busy frame")
 		}
 		msg := make([]byte, ln)
 		if _, err := io.ReadFull(r, msg); err != nil {
-			return "", fmt.Errorf("server: reading busy frame: %w", err)
+			return fmt.Errorf("server: reading busy frame: %w", err)
 		}
 		if err := statusErr(buf[5], string(msg)); err != nil {
-			return "", err
+			return err
 		}
-		return "", fmt.Errorf("server: malformed busy frame with ok status")
+		return fmt.Errorf("server: malformed busy frame with ok status")
 	}
 	if string(buf[:4]) != replyMagic {
-		return "", fmt.Errorf("server: bad reply magic %q", buf[:4])
+		return fmt.Errorf("server: bad reply magic %q", buf[:4])
 	}
-	if buf[4] != protocolV2 && buf[4] != protocolV3 {
-		return "", fmt.Errorf("server: unsupported protocol version %d", buf[4])
+	if buf[4] != protocolVersion {
+		return fmt.Errorf("server: unsupported protocol version %d", buf[4])
 	}
 	msg := make([]byte, binary.LittleEndian.Uint16(buf[6:8]))
 	if _, err := io.ReadFull(r, msg); err != nil {
-		return "", fmt.Errorf("server: reading handshake reply: %w", err)
+		return fmt.Errorf("server: reading handshake reply: %w", err)
 	}
-	if err := statusErr(buf[5], string(msg)); err != nil {
-		return "", err
-	}
-	return string(msg), nil
+	return statusErr(buf[5], string(msg))
 }
 
 // putHeader writes a message header (type + payload length) into the
@@ -556,7 +526,7 @@ func readHeader(r io.Reader, hdr *[5]byte) (typ byte, payloadLen int, err error)
 }
 
 // uvarintLen returns the encoded size of v as a uvarint (1..10 bytes), the
-// session-id prefix length mux message framing must account for.
+// session-id prefix length message framing must account for.
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -582,22 +552,28 @@ func appendOpenReply(dst []byte, sid uint64, status byte, msg string) []byte {
 	return dst
 }
 
-// parseOpenReply deserialises a msgOpenReply payload.
+// parseOpenReply deserialises a full msgOpenReply payload, session-id
+// prefix included.
 func parseOpenReply(b []byte) (sid uint64, status byte, msg string, err error) {
 	sid, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, 0, "", fmt.Errorf("server: open reply with bad session id varint")
 	}
-	rest := b[n:]
+	status, msg, err = parseOpenReplyBody(b[n:])
+	return sid, status, msg, err
+}
+
+// parseOpenReplyBody deserialises a msgOpenReply payload after its
+// session-id prefix (which MuxClient.recv has already split off).
+func parseOpenReplyBody(rest []byte) (status byte, msg string, err error) {
 	if len(rest) < 3 {
-		return 0, 0, "", fmt.Errorf("server: open reply of %d bytes is truncated", len(b))
+		return 0, "", fmt.Errorf("server: open reply of %d bytes is truncated", len(rest))
 	}
-	status = rest[0]
 	ln := int(binary.LittleEndian.Uint16(rest[1:3]))
 	if len(rest) != 3+ln {
-		return 0, 0, "", fmt.Errorf("server: open reply of %d bytes is malformed", len(b))
+		return 0, "", fmt.Errorf("server: open reply of %d bytes is malformed", len(rest))
 	}
-	return sid, status, string(rest[3:]), nil
+	return rest[0], string(rest[3:]), nil
 }
 
 // msgResumeReply mode byte: how the server satisfied the resume.
@@ -684,7 +660,7 @@ func appendResume(dst []byte, rc resumeClaim) ([]byte, error) {
 	start := len(dst)
 	var sb [binary.MaxVarintLen64]byte
 	dst = append(dst, sb[:binary.PutUvarint(sb[:], rc.sid)]...)
-	dst = appendConfigBody(dst, rc.cfg, false)
+	dst = appendConfigBody(dst, rc.cfg)
 	var tb [totalsLen]byte
 	putTotals(tb[:], rc.totals)
 	dst = append(dst, tb[:]...)
@@ -722,7 +698,7 @@ func parseResume(b []byte) (resumeClaim, error) {
 		return resumeClaim{}, fmt.Errorf("server: resume payload with bad session id varint")
 	}
 	br := bytes.NewReader(body[n:])
-	cfg, mux, err := readConfigBody(br, protocolV3)
+	cfg, mux, err := readConfigBody(br)
 	if err != nil {
 		return resumeClaim{}, err
 	}
@@ -951,7 +927,7 @@ func (t Totals) TogglesSaved() int { return t.Raw.Transitions - t.Coded.Transiti
 // the raw baseline.
 func (t Totals) ZerosSaved() int { return t.Raw.Zeros - t.Coded.Zeros }
 
-// add accumulates o into t, the aggregation msgQuit performs over a mux
+// add accumulates o into t, the aggregation msgQuit performs over a
 // connection's still-open sessions.
 func (t *Totals) add(o Totals) {
 	t.Frames += o.Frames

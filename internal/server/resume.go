@@ -147,11 +147,11 @@ func (s *Server) dropParked() {
 	}
 }
 
-// handleResume answers msgResume on a mux connection: reattach the parked
-// session when the claimed wire state reconciles with the live chain, or
-// rebuild one seeded at the claimed state when no parked session exists.
-// Failures are session-scoped — the connection (and its other sessions)
-// survives a rejected resume.
+// handleResume answers msgResume: reattach the parked session when the
+// claimed wire state reconciles with the live chain, or rebuild one seeded
+// at the claimed state when no parked session exists. Failures are
+// session-scoped — the connection (and its other sessions) survives a
+// rejected resume.
 func (c *conn) handleResume(n int) error {
 	buf, err := c.payload(n)
 	if err != nil {
@@ -347,8 +347,8 @@ func (st *sessState) replyState(masks []byte) resumeReplyState {
 }
 
 // resumeReply answers one msgResume. Like openReply, the payload's leading
-// uvarint session id doubles as the mux reply prefix, so the header is
-// written bare.
+// uvarint session id doubles as the reply prefix, so the header is written
+// bare.
 func (c *conn) resumeReply(sid uint64, status, mode byte, msg string, rs resumeReplyState) error {
 	c.noticeBuf = appendResumeReply(c.noticeBuf[:0], sid, status, mode, msg, rs)
 	putHeader(&c.hdr, msgResumeReply, len(c.noticeBuf))

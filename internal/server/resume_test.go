@@ -283,10 +283,10 @@ func TestMalformedResumeLeavesSessionsIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := writeHandshake(nc, protocolV3, true, SessionConfig{Lanes: lanes, Beats: beats}); err != nil {
+	if err := writeHandshake(nc, SessionConfig{Lanes: lanes, Beats: beats}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readReply(nc); err != nil {
+	if err := readReply(nc); err != nil {
 		t.Fatal(err)
 	}
 	sendResume := func(payload []byte) (sid uint64, status byte, msg string) {

@@ -45,9 +45,8 @@ type Config struct {
 	MaxConns int
 	// MaxSessions caps the logical sessions open at once over all
 	// connections; <= 0 selects DefaultMaxSessions. Opens beyond the cap
-	// are rejected (msgOpenReply on mux connections, a refused handshake
-	// on v2 ones) rather than queued: a mux client saturating the session
-	// table gets told, not stalled.
+	// are rejected with a busy msgOpenReply rather than queued: a client
+	// saturating the session table gets told, not stalled.
 	MaxSessions int
 
 	// IdleTimeout bounds how long a connection may sit between messages
@@ -492,8 +491,7 @@ func (s *Server) handle(nc net.Conn) {
 	}
 	c, err := s.newConn(nc, m)
 	if err != nil {
-		// A failed handshake is a refused session open: on a v2
-		// connection that is literally what happened, and a mux client
+		// A failed handshake counts as a refused session open: a client
 		// whose handshake cannot be parsed never gets to open one.
 		m.noteSession(false)
 		return

@@ -264,7 +264,7 @@ func TestServeHandshakeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readReply(conn); err == nil || !strings.Contains(err.Error(), "rejected") {
+	if err := readReply(conn); err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Errorf("garbage handshake: err = %v, want rejection", err)
 	}
 	waitMetric(t, s.Metrics(), "rejected session count", func(m MetricsSnapshot) bool {
@@ -273,39 +273,63 @@ func TestServeHandshakeRejects(t *testing.T) {
 }
 
 // TestServeFrameGeometryError: a frame payload of the wrong size is a
-// protocol error the client sees verbatim, and the session ends.
+// protocol error the client sees verbatim, addressed to the session it
+// concerns; the session and its connection keep serving.
 func TestServeFrameGeometryError(t *testing.T) {
+	const lanes, beats = 2, 8
 	s := startServer(t, Config{})
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHandshake(conn, protocolV2, false, SessionConfig{Lanes: 2, Beats: 8}); err != nil {
+	if err := writeHandshake(conn, SessionConfig{Lanes: lanes, Beats: beats}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readReply(conn); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [5]byte
-	putHeader(&hdr, msgFrame, 3) // needs 16
-	if _, err := conn.Write(append(hdr[:], 1, 2, 3)); err != nil {
+	if err := readReply(conn); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, n, err := readHeader(conn, &hdr)
-	if err != nil {
-		t.Fatal(err)
+	var hdr [5]byte
+	send := func(typ byte, payload []byte) {
+		t.Helper()
+		putHeader(&hdr, typ, len(payload))
+		if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	recv := func() (byte, []byte) {
+		t.Helper()
+		typ, n, err := readHeader(conn, &hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatal(err)
+		}
+		return typ, buf
+	}
+	send(msgOpen, append([]byte{1}, appendConfigBody(nil, SessionConfig{Lanes: lanes, Beats: beats})...))
+	if typ, body := recv(); typ != msgOpenReply || body[1] != statusOK {
+		t.Fatalf("open reply %q %x, want an accepted %q", typ, body, msgOpenReply)
+	}
+
+	send(msgFrame, []byte{1, 1, 2, 3}) // session 1 needs 16 payload bytes
+	typ, buf := recv()
 	if typ != msgError {
 		t.Fatalf("reply type %q, want error", typ)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatal(err)
+	if buf[0] != 1 {
+		t.Errorf("error addressed to session %d, want 1", buf[0])
 	}
-	if !strings.Contains(string(buf), "frame payload") {
-		t.Errorf("error text %q does not name the problem", buf)
+	if !strings.Contains(string(buf[1:]), "frame payload") {
+		t.Errorf("error text %q does not name the problem", buf[1:])
+	}
+
+	send(msgFrame, append([]byte{1}, make([]byte, lanes*beats)...))
+	if typ, body := recv(); typ != msgMasks || len(body) != 1+lanes*maskBytes(beats) {
+		t.Fatalf("frame after the geometry error: reply %q of %d bytes, want masks", typ, len(body))
 	}
 }
 
@@ -448,7 +472,7 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeMaxConnsBackpressure: with MaxConns=1 a second connection is not
-// admitted (its handshake gets no reply) until the first session ends.
+// admitted (its handshake gets no reply) until the first one ends.
 func TestServeMaxConnsBackpressure(t *testing.T) {
 	s := startServer(t, Config{MaxConns: 1})
 	c1, err := Dial(s.Addr().String(), SessionConfig{Lanes: 1, Beats: 8})
@@ -461,12 +485,12 @@ func TestServeMaxConnsBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHandshake(conn, protocolV2, false, SessionConfig{Lanes: 1, Beats: 8}); err != nil {
+	if err := writeHandshake(conn, SessionConfig{Lanes: 1, Beats: 8}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
 	var nerr net.Error
-	if _, err := readReply(conn); err == nil {
+	if err := readReply(conn); err == nil {
 		t.Fatal("second session admitted past MaxConns=1")
 	} else if !errors.As(err, &nerr) || !nerr.Timeout() {
 		// The failure must be the deadline expiring while queued behind
@@ -478,13 +502,13 @@ func TestServeMaxConnsBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readReply(conn); err != nil {
+	if err := readReply(conn); err != nil {
 		t.Fatalf("second session not admitted after the first closed: %v", err)
 	}
 }
 
-// TestServeMetrics: the counters add up after known traffic and the text
-// export names them.
+// TestServeMetrics: the counters add up after known traffic and the
+// Prometheus exposition names them.
 func TestServeMetrics(t *testing.T) {
 	const lanes, beats = 2, 8
 	s := startServer(t, Config{})
@@ -499,13 +523,16 @@ func TestServeMetrics(t *testing.T) {
 	if _, err := c.EncodeBatch(fs[1:]); err != nil {
 		t.Fatal(err)
 	}
-	text, err := c.Metrics()
-	if err != nil {
+	var text bytes.Buffer
+	if err := s.Metrics().Snapshot().WritePrometheus(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, counter := range []string{"bursts_encoded", "toggles_saved", "encode_ns_per_burst", "sessions_active"} {
-		if !strings.Contains(text, counter) {
-			t.Errorf("metrics text missing %q:\n%s", counter, text)
+	for _, counter := range []string{
+		"dbiserve_bursts_encoded_total", "dbiserve_coded_transitions_total", "dbiserve_raw_transitions_total",
+		"dbiserve_encode_ns_total", "dbiserve_sessions_active",
+	} {
+		if !strings.Contains(text.String(), counter) {
+			t.Errorf("exposition missing %q:\n%s", counter, text.String())
 		}
 	}
 	totals, err := c.Close()
@@ -698,14 +725,14 @@ func TestServeAdaptiveDefault(t *testing.T) {
 	if got := c2.Scheme(); got != "OPT-FIXED" {
 		t.Errorf("explicit scheme resolved %q, want OPT-FIXED", got)
 	}
-	// metrics text names the new counters.
-	text, err := c.Metrics()
-	if err != nil {
+	// The exposition names the adaptive counters.
+	var text bytes.Buffer
+	if err := s.Metrics().Snapshot().WritePrometheus(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, counter := range []string{"sessions_adaptive", "scheme_switches"} {
-		if !strings.Contains(text, counter) {
-			t.Errorf("metrics text missing %q", counter)
+	for _, counter := range []string{"dbiserve_sessions_adaptive_total", "dbiserve_scheme_switches_total"} {
+		if !strings.Contains(text.String(), counter) {
+			t.Errorf("exposition missing %q", counter)
 		}
 	}
 }
@@ -726,7 +753,7 @@ func TestServeAdaptiveHandshakeRejects(t *testing.T) {
 	}
 }
 
-// TestHandshakeRoundTripAdapt: the v2 handshake carries the adaptive block
+// TestHandshakeRoundTripAdapt: the handshake carries the adaptive block
 // verbatim.
 func TestHandshakeRoundTripAdapt(t *testing.T) {
 	for _, cfg := range []SessionConfig{
@@ -736,15 +763,15 @@ func TestHandshakeRoundTripAdapt(t *testing.T) {
 			AdaptCandidates: []string{"DC", "AC", "OPT-FIXED"}, Alpha: 4, Beta: 1},
 	} {
 		var buf bytes.Buffer
-		if err := writeHandshake(&buf, protocolV2, false, cfg); err != nil {
+		if err := writeHandshake(&buf, cfg); err != nil {
 			t.Fatal(err)
 		}
-		got, version, mux, err := readHandshake(&buf)
+		if v, flags := buf.Bytes()[4], buf.Bytes()[5+configFlagsOff]; v != protocolVersion || flags&flagMux == 0 {
+			t.Errorf("handshake wrote version %d flags %#x, want v3 with the mux flag", v, flags)
+		}
+		got, err := readHandshake(&buf)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if version != protocolV2 || mux {
-			t.Errorf("handshake negotiated version %d mux %v, want v2 non-mux", version, mux)
 		}
 		if !reflect.DeepEqual(got, cfg) {
 			t.Errorf("handshake round trip %+v != %+v", got, cfg)
@@ -757,65 +784,79 @@ func TestHandshakeRoundTripAdapt(t *testing.T) {
 // refused outright instead of desyncing the message stream.
 func TestHandshakeRejectsUnknownFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeHandshake(&buf, protocolV2, false, SessionConfig{Lanes: 1, Beats: 8}); err != nil {
+	if err := writeHandshake(&buf, SessionConfig{Lanes: 1, Beats: 8}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// 0x02 is flagMux on v3, but on a v2 handshake it is an unknown future
-	// bit and must still be refused — the flag check is version-gated.
-	raw[25] |= 0x02
-	if _, _, _, err := readHandshake(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unsupported handshake flags") {
+	if _, err := readHandshake(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("mux handshake refused: %v", err)
+	}
+	// An unknown bit beyond the known flags is refused.
+	raw[25] |= 0x08
+	if _, err := readHandshake(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unsupported handshake flags") {
 		t.Errorf("unknown flag bit not refused: %v", err)
 	}
-	// On v3 the same bit is the mux flag and parses.
-	raw[4] = protocolV3
-	if _, _, mux, err := readHandshake(bytes.NewReader(raw)); err != nil || !mux {
-		t.Errorf("v3 mux flag: mux=%v err=%v, want mux accepted", mux, err)
-	}
-	// An unknown bit beyond the known v3 flags is refused on v3 too.
-	raw[25] |= 0x08
-	if _, _, _, err := readHandshake(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unsupported handshake flags") {
-		t.Errorf("unknown v3 flag bit not refused: %v", err)
-	}
-	// 0x04 is flagResume on v3 — a known bit, but resume tokens are
-	// per-session (msgOpen), so a handshake carrying one is refused on
-	// those grounds rather than as an unknown flag. With the flag set but
-	// no token bytes the config body is simply truncated; either way the
-	// handshake must not parse.
+	// 0x04 is flagResume — a known bit, but resume tokens are per-session
+	// (msgOpen), so a handshake carrying one is refused on those grounds
+	// rather than as an unknown flag. With the flag set but no token bytes
+	// the config body is simply truncated; either way the handshake must
+	// not parse.
 	raw[25] = (raw[25] &^ 0x08) | 0x04
-	if _, _, _, err := readHandshake(bytes.NewReader(raw)); err == nil {
-		t.Errorf("v3 handshake with the resume flag parsed; want refusal")
+	if _, err := readHandshake(bytes.NewReader(raw)); err == nil {
+		t.Errorf("handshake with the resume flag parsed; want refusal")
 	}
 	withToken := append(append([]byte(nil), raw...), make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(withToken[len(withToken)-8:], 7)
-	if _, _, _, err := readHandshake(bytes.NewReader(withToken)); err == nil || !strings.Contains(err.Error(), "resume") {
-		t.Errorf("v3 handshake with a resume token not refused as such: %v", err)
+	if _, err := readHandshake(bytes.NewReader(withToken)); err == nil || !strings.Contains(err.Error(), "resume") {
+		t.Errorf("handshake with a resume token not refused as such: %v", err)
 	}
 }
 
-// TestHandshakeRejectsV1WithoutHanging: a v1 client's handshake is one
-// byte shorter (no flags byte); the server must reject it on the version
-// field instead of blocking on bytes that will never arrive.
-func TestHandshakeRejectsV1WithoutHanging(t *testing.T) {
+// TestHandshakeRejectsLegacyWithoutHanging: every handshake but v3 with
+// the mux flag is answered promptly with a rejection that names what to
+// speak instead. A v1 handshake is one byte shorter (no flags byte) and a
+// v2 one carries no session ids, so the server must reject both on the
+// version byte instead of blocking on bytes that will never arrive; a v3
+// handshake without the mux flag is refused once parsed.
+func TestHandshakeRejectsLegacyWithoutHanging(t *testing.T) {
 	s := startServer(t, Config{})
-	conn, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A v1 handshake with an empty scheme name: 25 bytes total, then the
-	// client waits for the reply.
 	var buf bytes.Buffer
-	if err := writeHandshake(&buf, protocolV2, false, SessionConfig{Lanes: 1, Beats: 8}); err != nil {
+	if err := writeHandshake(&buf, SessionConfig{Lanes: 1, Beats: 8}); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()[:handshakeLenV1]
-	raw[4] = 1 // protocol version 1
-	if _, err := conn.Write(raw); err != nil {
-		t.Fatal(err)
+	v3 := buf.Bytes()
+	legacy := func(version byte, mux bool, n int) []byte {
+		raw := append([]byte(nil), v3[:n]...)
+		raw[4] = version
+		if !mux && n > 5+configFlagsOff {
+			raw[5+configFlagsOff] &^= flagMux
+		}
+		return raw
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readReply(conn); err == nil || !strings.Contains(err.Error(), "unsupported protocol version 1") {
-		t.Errorf("v1 handshake: err = %v, want version rejection (not a hang)", err)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		// v1: 25 bytes with an empty scheme name, then the client waits.
+		{"v1", legacy(1, false, handshakeLen-1), "unsupported protocol version 1"},
+		{"v2", legacy(2, false, len(v3)), "unsupported protocol version 2"},
+		{"v3-without-mux", legacy(protocolVersion, false, len(v3)), "without the mux flag"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.raw); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			err = readReply(conn)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "protocol v3 with the mux flag") {
+				t.Errorf("err = %v, want a prompt rejection saying %q and naming protocol v3 with the mux flag", err, tc.want)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,19 +18,14 @@ import (
 	"dbiopt/internal/trace"
 )
 
-// conn is the server side of one connection: the negotiated protocol
-// version, the framing state, and the open sessions. A v2 (or non-mux v3)
-// connection carries exactly one implicit session; a mux connection a
-// whole table of them, opened and closed by msgOpen/msgCloseSess.
+// conn is the server side of one connection: the framing state and the
+// table of open sessions, opened and closed by msgOpen/msgCloseSess.
 type conn struct {
 	srv *Server
 	m   *metricsShard // this connection's counter shard
 	nc  net.Conn      // the transport; nil in unit tests that drive the loop directly
 	r   *bufio.Reader
 	w   *bufio.Writer
-
-	version int
-	mux     bool
 
 	// idle and writeTO are the connection's deadline budgets (zero =
 	// disabled). Re-arming a deadline costs a syscall, so arm() amortises:
@@ -49,17 +43,15 @@ type conn struct {
 	// the connection dies under them.
 	quit     bool
 	poisoned bool
-	// def holds the connection's session defaults: for a mux connection
-	// the handshake config (weights already resolved against the server),
-	// for a single-session connection just the server weights.
+	// def holds the connection's session defaults: the handshake config,
+	// weights already resolved against the server.
 	def SessionConfig
 
-	single   *sessState            // the implicit session of a non-mux connection
-	sessions map[uint64]*sessState // open sessions of a mux connection, by id
+	sessions map[uint64]*sessState // open sessions, by id
 
 	// Reusable scratch shared by every session on the connection — the
 	// message loop is single-goroutine, so one set suffices: hdr is the
-	// header, sidBuf the session-id prefix of mux replies, totalsBuf the
+	// header, sidBuf the session-id prefix of replies, totalsBuf the
 	// serialised Totals, noticeBuf the switch/open-reply serialisation
 	// scratch, batchBuf the (grown on demand) payload buffer of batches and
 	// the non-hot messages, batchFrame the frame of views into batchBuf a
@@ -137,76 +129,40 @@ func (st *sessState) savePrev() {
 	st.prevValid = true
 }
 
-// newConn performs the handshake on nc. On a single-session connection it
-// resolves and opens the implicit session and replies with its scheme; on a
-// mux connection it records the defaults and replies immediately — sessions
-// resolve at msgOpen. A rejected handshake returns an error after telling
-// the client why.
+// newConn performs the handshake on nc: it records the connection's
+// session defaults and replies immediately — sessions resolve at msgOpen.
+// A rejected handshake returns an error after telling the client why.
 func (s *Server) newConn(nc net.Conn, m *metricsShard) (*conn, error) {
 	r := bufio.NewReader(nc)
 	w := bufio.NewWriter(nc)
-	cfg, version, mux, err := readHandshake(r)
+	cfg, err := readHandshake(r)
 	if err != nil {
 		// The handshake never parsed; there may be no protocol speaker on
-		// the other side at all, so reply best-effort (with the newest
-		// version, having negotiated none) and bail.
-		writeReply(w, protocolVersion, statusError, err.Error()) //nolint:errcheck
-		w.Flush()                                                //nolint:errcheck
+		// the other side at all, so reply best-effort and bail.
+		writeReply(w, statusError, err.Error()) //nolint:errcheck
+		w.Flush()                               //nolint:errcheck
 		return nil, err
 	}
-	c := &conn{srv: s, m: m, nc: nc, r: r, w: w, version: version, mux: mux}
+	c := &conn{srv: s, m: m, nc: nc, r: r, w: w, sessions: make(map[uint64]*sessState)}
 	c.idle, c.writeTO = s.cfg.IdleTimeout, s.cfg.WriteTimeout
 	c.armEvery = armInterval(c.idle, c.writeTO)
 	c.arm()
 	if cfg.Alpha == 0 && cfg.Beta == 0 {
 		cfg.Alpha, cfg.Beta = s.cfg.Alpha, s.cfg.Beta
 	}
-	if mux {
-		c.def = cfg
-		c.sessions = make(map[uint64]*sessState)
-		if err := writeReply(w, version, statusOK, ""); err != nil {
-			return nil, err
-		}
-		if err := w.Flush(); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c.def = SessionConfig{Alpha: s.cfg.Alpha, Beta: s.cfg.Beta}
-	if !s.reserveSession() {
-		err := fmt.Errorf("%w: session limit reached", ErrBusy)
-		m.noteBusy()
-		writeReply(w, version, statusBusy, "session limit reached") //nolint:errcheck
-		w.Flush()                                                   //nolint:errcheck
-		return nil, err
-	}
-	st, err := c.newSessState(0, cfg)
-	if err != nil {
-		s.releaseSession()
-		writeReply(w, version, statusError, err.Error()) //nolint:errcheck
-		w.Flush()                                        //nolint:errcheck
-		return nil, err
-	}
-	if err := writeReply(w, version, statusOK, st.scheme); err != nil {
-		s.releaseSession()
+	c.def = cfg
+	if err := writeReply(w, statusOK, ""); err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {
-		s.releaseSession()
 		return nil, err
 	}
-	c.single = st
-	m.noteSession(true)
-	if st.adaptive {
-		m.noteAdaptive()
-	}
-	s.metrics.noteScheme(st.scheme)
 	return c, nil
 }
 
 // newSessState resolves one session request against the connection and
 // server defaults and builds its encode state. No reply is written here —
-// the handshake and msgOpen paths answer differently.
+// the msgOpen and msgResume paths answer differently.
 func (c *conn) newSessState(sid uint64, cfg SessionConfig) (*sessState, error) {
 	srv := c.srv
 	def := c.def
@@ -241,8 +197,7 @@ func (c *conn) newSessState(sid uint64, cfg SessionConfig) (*sessState, error) {
 			OnSwitch:   st.noteSwitch,
 		}
 		// Fields left zero defer to the connection defaults, then to the
-		// server defaults (which is one fall-through for a v2 connection,
-		// whose def carries no adaptive block).
+		// server defaults.
 		if len(acfg.Candidates) == 0 {
 			acfg.Candidates = def.AdaptCandidates
 		}
@@ -293,7 +248,7 @@ func (c *conn) newSessState(sid uint64, cfg SessionConfig) (*sessState, error) {
 	return st, nil
 }
 
-// closeSession ends one open mux session, returning its MaxSessions slot.
+// closeSession ends one open session, returning its MaxSessions slot.
 func (c *conn) closeSession(sid uint64) {
 	if st := c.sessions[sid]; st != nil && st.resumable() {
 		c.srv.unregisterToken(st.cfg.ResumeToken)
@@ -309,11 +264,6 @@ func (c *conn) closeSession(sid uint64) {
 // session state (and its MaxSessions slot) claimable by a msgResume on a
 // new connection until ParkTimeout expires.
 func (c *conn) closeAll() {
-	if c.single != nil {
-		c.single = nil
-		c.m.noteClose()
-		c.srv.releaseSession()
-	}
 	for sid, st := range c.sessions {
 		if st.resumable() && !c.quit && !c.poisoned && c.srv.parkSession(st) {
 			delete(c.sessions, sid)
@@ -380,50 +330,13 @@ func (c *conn) noteDead(err error) {
 }
 
 // loop dispatches messages until the client quits, disconnects, or breaks
-// the protocol in a connection-fatal way.
+// the protocol in a connection-fatal way. Replies are not flushed per
+// message — a pipelining client would pay a syscall per frame — but exactly
+// when the read side has no buffered input, i.e. immediately before the
+// only read that could block. bufio only blocks the loop's ReadFull/ReadByte
+// calls when its buffer is empty, so everything produced by still-buffered
+// requests is flushed before the connection goes quiet.
 func (c *conn) loop() {
-	if c.mux {
-		c.muxLoop()
-		return
-	}
-	for {
-		c.arm()
-		typ, n, err := readHeader(c.r, &c.hdr)
-		if err != nil {
-			c.noteDead(err) // client closed (or the connection died)
-			return
-		}
-		switch typ {
-		case msgFrame:
-			err = c.handleFrame(c.single, n)
-		case msgBatch:
-			err = c.handleBatch(c.single, n)
-		case msgTotals:
-			err = c.discardThen(n, func() error { return c.sendTotals(c.single) })
-		case msgMetrics:
-			err = c.discardThen(n, c.sendMetrics)
-		case msgQuit:
-			c.quit = true
-			c.discardThen(n, func() error { return c.sendTotals(c.single) }) //nolint:errcheck // closing anyway
-			return
-		default:
-			c.connFail(fmt.Errorf("server: unknown message type %q", typ)) //nolint:errcheck
-			return
-		}
-		if err != nil {
-			c.noteDead(err)
-			return
-		}
-	}
-}
-
-// muxLoop is the message loop of a multiplexed connection. Replies are not
-// flushed per message — a pipelining client would pay a syscall per frame —
-// but exactly when the read side has no buffered input, i.e. immediately
-// before the only read that could block. bufio only blocks the loop's
-// ReadFull/ReadByte calls when its buffer is empty, so everything produced
-// by still-buffered requests is flushed before the connection goes quiet.
-func (c *conn) muxLoop() {
 	for {
 		c.arm()
 		if c.r.Buffered() == 0 {
@@ -434,23 +347,23 @@ func (c *conn) muxLoop() {
 		}
 		typ, n, err := readHeader(c.r, &c.hdr)
 		if err != nil {
-			c.noteDead(err)
+			c.noteDead(err) // client closed (or the connection died)
 			return
 		}
 		switch typ {
 		case msgFrame:
-			err = c.muxFrame(n)
+			err = c.routeFrame(n)
 		case msgBatch:
-			err = c.muxTarget(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
+			err = c.routeSession(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
 		case msgTotals:
-			err = c.muxTarget(n, func(st *sessState, rem int) error {
+			err = c.routeSession(n, func(st *sessState, rem int) error {
 				if err := c.discardN(rem); err != nil {
 					return err
 				}
 				return c.sendTotals(st)
 			})
 		case msgCloseSess:
-			err = c.muxTarget(n, func(st *sessState, rem int) error {
+			err = c.routeSession(n, func(st *sessState, rem int) error {
 				if err := c.discardN(rem); err != nil {
 					return err
 				}
@@ -464,10 +377,8 @@ func (c *conn) muxLoop() {
 			err = c.handleOpen(n)
 		case msgResume:
 			err = c.handleResume(n)
-		case msgMetrics:
-			err = c.discardThen(n, c.sendMetrics)
 		case msgQuit:
-			c.muxQuit(n)
+			c.handleQuit(n)
 			return
 		default:
 			c.connFail(fmt.Errorf("server: unknown message type %q", typ)) //nolint:errcheck
@@ -480,7 +391,7 @@ func (c *conn) muxLoop() {
 	}
 }
 
-// readSid reads the uvarint session-id prefix of a mux message payload,
+// readSid reads the uvarint session-id prefix of a message payload,
 // returning the id and the payload bytes remaining after it. The varint
 // must lie entirely inside the declared payload: one that runs past it
 // means the framing is already desynchronised, which is connection-fatal.
@@ -510,13 +421,13 @@ func (c *conn) readSid(n int) (sid uint64, rem int, err error) {
 	}
 }
 
-// muxFrame routes one mux msgFrame to its session. Unknown ids are
+// routeFrame routes one msgFrame to its session. Unknown ids are
 // session-scoped errors — the rest of the connection keeps flowing. Kept
-// separate from the generic muxTarget router so the frame hot path pays no
-// per-message closure.
+// separate from the generic routeSession router so the frame hot path pays
+// no per-message closure.
 //
 //dbi:hotpath
-func (c *conn) muxFrame(n int) error {
+func (c *conn) routeFrame(n int) error {
 	sid, rem, err := c.readSid(n)
 	if err != nil {
 		return err
@@ -531,9 +442,9 @@ func (c *conn) muxFrame(n int) error {
 	return c.handleFrame(st, rem)
 }
 
-// muxTarget reads the session-id prefix, resolves the session and hands the
-// remaining payload to handle. The non-hot mux messages share this router.
-func (c *conn) muxTarget(n int, handle func(st *sessState, rem int) error) error {
+// routeSession reads the session-id prefix, resolves the session and hands
+// the remaining payload to handle. The non-hot messages share this router.
+func (c *conn) routeSession(n int, handle func(st *sessState, rem int) error) error {
 	sid, rem, err := c.readSid(n)
 	if err != nil {
 		return err
@@ -548,7 +459,7 @@ func (c *conn) muxTarget(n int, handle func(st *sessState, rem int) error) error
 	return handle(st, rem)
 }
 
-// handleOpen opens one logical session on a mux connection. Failures are
+// handleOpen opens one logical session on the connection. Failures are
 // answered with a rejecting msgOpenReply and leave the connection (and its
 // other sessions) running.
 func (c *conn) handleOpen(n int) error {
@@ -567,7 +478,7 @@ func (c *conn) handleOpen(n int) error {
 		}
 		return c.openReply(sid, status, reason)
 	}
-	cfg, err := parseConfigBody(buf[sn:], c.version)
+	cfg, err := parseConfigBody(buf[sn:])
 	if err != nil {
 		return reject(statusError, err.Error())
 	}
@@ -601,7 +512,7 @@ func (c *conn) handleOpen(n int) error {
 }
 
 // openReply answers one msgOpen. The payload's leading uvarint session id
-// doubles as the mux reply prefix, so the header is written bare.
+// doubles as the reply prefix, so the header is written bare.
 func (c *conn) openReply(sid uint64, status byte, msg string) error {
 	c.noticeBuf = appendOpenReply(c.noticeBuf[:0], sid, status, msg)
 	putHeader(&c.hdr, msgOpenReply, len(c.noticeBuf))
@@ -612,10 +523,10 @@ func (c *conn) openReply(sid uint64, status byte, msg string) error {
 	return err
 }
 
-// muxQuit answers msgQuit on a mux connection: switch notices of every open
-// session, then one aggregate msgTotalsReply under session id 0. The
-// connection closes after it either way.
-func (c *conn) muxQuit(n int) {
+// handleQuit answers msgQuit: switch notices of every open session, then
+// one aggregate msgTotalsReply under session id 0. The connection closes
+// after it either way.
+func (c *conn) handleQuit(n int) {
 	c.quit = true // deliberate departure: closeAll must not park anything
 	if c.discardN(n) != nil {
 		return
@@ -695,16 +606,11 @@ func (c *conn) flushSwitches(st *sessState) error {
 }
 
 // replyHeader writes one reply's header, prefixing the payload with the
-// session id on mux connections (the declared length covers the prefix).
+// session id (the declared length covers the prefix).
 //
 //dbi:hotpath
 func (c *conn) replyHeader(typ byte, sid uint64, payloadLen int) error {
 	c.arm() // keep the (amortised) write deadline ahead of this reply
-	if !c.mux {
-		putHeader(&c.hdr, typ, payloadLen)
-		_, err := c.w.Write(c.hdr[:])
-		return err
-	}
 	sn := binary.PutUvarint(c.sidBuf[:], sid)
 	putHeader(&c.hdr, typ, sn+payloadLen)
 	if _, err := c.w.Write(c.hdr[:]); err != nil {
@@ -714,16 +620,6 @@ func (c *conn) replyHeader(typ byte, sid uint64, payloadLen int) error {
 	return err
 }
 
-// maybeFlush flushes the write side on single-session connections, whose
-// clients are strictly request/response. Mux connections flush in the
-// message loop instead, only when the read side could block.
-func (c *conn) maybeFlush() error {
-	if c.mux {
-		return nil
-	}
-	return c.w.Flush()
-}
-
 // discardN drains n payload bytes.
 func (c *conn) discardN(n int) error {
 	if n <= 0 {
@@ -731,15 +627,6 @@ func (c *conn) discardN(n int) error {
 	}
 	_, err := io.CopyN(io.Discard, c.r, int64(n))
 	return err
-}
-
-// discardThen drains an (expected-empty) payload, then runs the reply
-// handler.
-func (c *conn) discardThen(n int, reply func() error) error {
-	if err := c.discardN(n); err != nil {
-		return err
-	}
-	return reply()
 }
 
 // payload reads a complete n-byte payload into the connection's reusable
@@ -755,27 +642,20 @@ func (c *conn) payload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// sessFail reports a session-scoped protocol error. On a mux connection the
-// error names the session and the connection survives (returns nil); on a
-// single-session connection the session is the connection, so the error is
-// fatal (returns err for the caller to propagate).
+// sessFail reports a session-scoped protocol error: the error names the
+// session, and the connection survives (a nil return unless the reply
+// itself cannot be written).
 func (c *conn) sessFail(sid uint64, err error) error {
 	msg := err.Error()
 	if werr := c.replyHeader(msgError, sid, len(msg)); werr != nil {
 		return werr
 	}
-	if _, werr := c.w.WriteString(msg); werr != nil {
-		return werr
-	}
-	if c.mux {
-		return nil
-	}
-	c.w.Flush() //nolint:errcheck
-	return err
+	_, werr := c.w.WriteString(msg)
+	return werr
 }
 
-// connFail reports a connection-fatal error (session id 0 on mux
-// connections) and returns err for the caller to propagate.
+// connFail reports a connection-fatal error (session id 0) and returns err
+// for the caller to propagate.
 func (c *conn) connFail(err error) error {
 	msg := err.Error()
 	if werr := c.replyHeader(msgError, 0, len(msg)); werr != nil {
@@ -793,17 +673,14 @@ func (c *conn) connFail(err error) error {
 // payload refills the session's frame in place, LaneSet.TransmitBatch
 // encodes all lanes as one struct-of-arrays batch — word-packed masks,
 // no per-lane wire images at all — and the reply bytes copy straight out
-// of the batch's mask words. No heap allocation per frame, on either the
-// single-session or the mux path.
+// of the batch's mask words. No heap allocation per frame.
 //
 //dbi:hotpath
 func (c *conn) handleFrame(st *sessState, n int) error {
 	if n != len(st.frameBuf) {
 		err := fmt.Errorf("server: frame payload is %d bytes, session geometry %dx%d needs %d", n, st.cfg.Lanes, st.cfg.Beats, len(st.frameBuf)) //dbi:allow-escape error formatting on a malformed frame, dead in steady state
-		if c.mux {
-			if derr := c.discardN(n); derr != nil {
-				return derr
-			}
+		if derr := c.discardN(n); derr != nil {
+			return derr
 		}
 		return c.sessFail(st.id, err)
 	}
@@ -838,10 +715,8 @@ func (c *conn) handleFrame(st *sessState, n int) error {
 	if err := c.replyHeader(msgMasks, st.id, len(st.maskBuf)); err != nil {
 		return err
 	}
-	if _, err := c.w.Write(st.maskBuf); err != nil {
-		return err
-	}
-	return c.maybeFlush()
+	_, err := c.w.Write(st.maskBuf)
+	return err
 }
 
 // errBatchResumable refuses batch messages on resumable sessions.
@@ -851,8 +726,7 @@ var errBatchResumable = errors.New("server: batch messages are not supported on 
 // session's lanes (burst i → lane i%lanes, exactly as trace.FrameReader and
 // dbitrace cost do), answering with the cumulative session totals. The
 // whole blob is validated before any lane state moves, so every malformed
-// batch is a session-scoped error on mux connections and leaves the
-// session untouched. The batch then runs as a sequence of frames on the
+// batch is a session-scoped error and leaves the session untouched. The batch then runs as a sequence of frames on the
 // connection goroutine: each frame is a set of views into the payload
 // buffer, encoded by the same accumulateRaw + LaneSet.TransmitBatch pair as
 // handleFrame, so per-lane state is continuous with any single frames sent
@@ -931,35 +805,6 @@ func (c *conn) sendTotals(st *sessState) error {
 	if err := c.replyHeader(msgTotalsReply, st.id, totalsLen); err != nil {
 		return err
 	}
-	if _, err := c.w.Write(c.totalsBuf[:]); err != nil {
-		return err
-	}
-	return c.maybeFlush()
-}
-
-// sendMetrics answers with the server-wide metrics text. Connection-scoped:
-// the reply carries no session id even on mux connections.
-func (c *conn) sendMetrics() error {
-	if c.single != nil {
-		if err := c.flushSwitches(c.single); err != nil {
-			return err
-		}
-	}
-	for _, st := range c.sessions {
-		if err := c.flushSwitches(st); err != nil {
-			return err
-		}
-	}
-	var buf bytes.Buffer
-	if err := c.srv.metrics.Snapshot().WriteText(&buf); err != nil {
-		return err
-	}
-	putHeader(&c.hdr, msgMetricsReply, buf.Len())
-	if _, err := c.w.Write(c.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	return c.maybeFlush()
+	_, err := c.w.Write(c.totalsBuf[:])
+	return err
 }

@@ -18,11 +18,12 @@ import (
 // TestServeSoakChurn is the serving tier's soak: several workers churn
 // multiplexed connections — open sessions across all shards, encode,
 // close some explicitly, tear the connection down — while the Prometheus
-// endpoint is scraped continuously and in-band metrics drains (msgMetrics)
-// fire mid-traffic; then a graceful drain starts while a session is still
-// open, the health probe flips to 503, and after everything settles the
-// process is back to its pre-server goroutine count (nothing leaked per
-// connection, session, shard, or scrape). Runtime is ~2s.
+// endpoint is scraped continuously, by a dedicated scraper and by the
+// churners themselves mid-traffic; then a graceful drain starts while a
+// session is still open, the health probe flips to 503, and after
+// everything settles the process is back to its pre-server goroutine count
+// (nothing leaked per connection, session, shard, or scrape). Runtime is
+// ~2s.
 func TestServeSoakChurn(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -100,7 +101,8 @@ func TestServeSoakChurn(t *testing.T) {
 
 	// Churners: each iteration is a full connection lifecycle with enough
 	// sessions to land on every shard, half closed explicitly and half
-	// left for connection teardown to reap, plus an in-band metrics drain.
+	// left for connection teardown to reap, plus a /metrics scrape while
+	// the sessions are open.
 	var frames atomic.Int64
 	errs := make(chan error, workers)
 	var churnWG sync.WaitGroup
@@ -134,8 +136,9 @@ func TestServeSoakChurn(t *testing.T) {
 					frames.Add(1)
 				}
 				if it%4 == 0 {
-					if _, err := mc.Metrics(); err != nil {
-						return fmt.Errorf("in-band metrics: %w", err)
+					code, body, err := get("/metrics")
+					if err != nil || code != http.StatusOK || !strings.Contains(body, "dbiserve_sessions_active") {
+						return fmt.Errorf("mid-traffic scrape: status %d, err %v", code, err)
 					}
 				}
 				for i, ms := range sessions {

@@ -18,17 +18,18 @@ type (
 	// ServerConfig configures a Server (address, default scheme,
 	// connection and session caps, deadlines, adaptive defaults).
 	ServerConfig = server.Config
-	// Client is one v2 session against a Server: one scheme, one
-	// continuous per-lane wire state. Not safe for concurrent use; for
-	// concurrency open more clients or multiplex with a MuxClient.
+	// Client is one session on its own connection: a MuxClient with
+	// exactly one open session, speaking that MuxSession's encode
+	// surface; Close ends the session and the connection together. Safe
+	// for concurrent use.
 	Client = server.Client
-	// MuxClient is a protocol-v3 multiplexed connection: thousands of
-	// logical sessions — each with its own scheme, geometry and wire
-	// state — share one socket, opened with Open. Safe for concurrent use.
+	// MuxClient is a multiplexed connection: thousands of logical
+	// sessions — each with its own scheme, geometry and wire state —
+	// share one socket, opened with Open. Safe for concurrent use.
 	MuxClient = server.MuxClient
-	// MuxSession is one logical session of a MuxClient; it speaks the
-	// same encode surface as Client (EncodeFrame, EncodeBatch, Totals,
-	// Close) and is bit-identical to a dedicated v2 connection.
+	// MuxSession is one logical session of a MuxClient (EncodeFrame,
+	// EncodeBatch, EncodeTrace, Totals, Close); its results are
+	// bit-identical to the same session on a dedicated connection.
 	MuxSession = server.MuxSession
 	// SessionConfig is the per-session handshake: scheme name, weights,
 	// bus geometry (lanes × beats), and the optional adaptive-session
@@ -116,17 +117,18 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Dial opens a session against a dbiserve instance. The session's encode
-// results are bit-identical to running the same frames through a local
-// LaneSet with the same scheme: the server is the offline path, served.
+// Dial opens a connection with one session against a dbiserve instance.
+// The session's encode results are bit-identical to running the same
+// frames through a local LaneSet with the same scheme: the server is the
+// offline path, served.
 func Dial(addr string, cfg SessionConfig) (*Client, error) {
 	return server.Dial(addr, cfg)
 }
 
-// DialMux opens a protocol-v3 multiplexed connection against a dbiserve
-// instance. def sets the connection's default geometry and weights;
-// sessions are then opened with MuxClient.Open, each bit-identical to a
-// dedicated v2 connection with the same configuration.
+// DialMux opens a multiplexed connection against a dbiserve instance. def
+// sets the connection's default geometry and weights; sessions are then
+// opened with MuxClient.Open, each bit-identical to the same session
+// opened alone on a dedicated connection (Dial).
 func DialMux(addr string, def SessionConfig) (*MuxClient, error) {
 	return server.DialMux(addr, def)
 }
