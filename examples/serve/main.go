@@ -100,6 +100,6 @@ func main() {
 	// The server-wide counters, read in-process; dbiserve -metrics-addr
 	// serves the same snapshot as Prometheus text at /metrics.
 	m := srv.Metrics().Snapshot()
-	fmt.Printf("\nserver: %d sessions, %d frames, %d batch messages, %d bursts, toggles saved %d (%.1f%%), %.0f ns/burst\n",
+	fmt.Printf("\nserver: %d sessions, %d frames, %d batch messages, %d bursts, toggles saved %d (%.1f%%), %.0f busy ns/burst\n",
 		m.Accepted, m.Frames, m.Batches, m.Bursts, m.TogglesSaved, 100*m.TogglesSavedRatio, m.NsPerBurst)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // newLoopConn builds a connection with one open session (id 7) the way
 // newConn and msgOpen do, but wired to an in-memory reader/writer so the
 // encode path can be exercised without a network (and therefore measured
-// by AllocsPerRun deterministically).
+// by AllocsPerRun deterministically). The caller installs c.r.
 func newLoopConn(t testing.TB, srv *Server, cfg SessionConfig, w io.Writer) (*conn, *sessState) {
 	t.Helper()
 	c := &conn{
@@ -26,6 +27,7 @@ func newLoopConn(t testing.TB, srv *Server, cfg SessionConfig, w io.Writer) (*co
 		w:        bufio.NewWriter(w),
 		def:      SessionConfig{Alpha: srv.cfg.Alpha, Beta: srv.cfg.Beta},
 		sessions: map[uint64]*sessState{},
+		mark:     time.Now(),
 	}
 	return c, addLoopSession(t, c, 7, cfg)
 }
@@ -40,7 +42,6 @@ func addLoopSession(t testing.TB, c *conn, sid uint64, cfg SessionConfig) *sessS
 	}
 	st := &sessState{
 		id:        sid,
-		m:         c.m,
 		cfg:       cfg,
 		scheme:    cfg.Scheme,
 		ls:        dbi.NewLaneSet(enc, cfg.Lanes),
@@ -76,8 +77,9 @@ func frameMessage(t testing.TB, f bus.Frame, lanes, beats int, sid uint64) []byt
 }
 
 // runFrameAllocs replays pre-serialised frame or batch messages through
-// the connection's dispatch path, exactly as the message loop routes them,
-// and returns AllocsPerRun over it.
+// the message loop's step and returns AllocsPerRun over it. Each message
+// starts on an empty read buffer, so every run passes a drain point: the
+// counters settle, the deadlines arm and the replies flush.
 func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 	t.Helper()
 	br := bytes.NewReader(nil)
@@ -85,21 +87,8 @@ func runFrameAllocs(t *testing.T, c *conn, msgs [][]byte) float64 {
 	i := 0
 	return testing.AllocsPerRun(400, func() {
 		br.Reset(msgs[i%len(msgs)])
-		c.r.Reset(br)
-		typ, n, err := readHeader(c.r, &c.hdr)
-		if err != nil {
-			t.Fatalf("header: %v", err)
-		}
-		switch typ {
-		case msgFrame:
-			err = c.routeFrame(n)
-		case msgBatch:
-			err = c.routeSession(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
-		default:
-			t.Fatalf("unexpected message type %q", typ)
-		}
-		if err != nil {
-			t.Fatal(err)
+		if !c.step() {
+			t.Fatalf("message %d ended the connection", i)
 		}
 		i++
 	})
@@ -253,5 +242,39 @@ func TestServeFrameDeadlinesZeroAlloc(t *testing.T) {
 	}
 	if st.totals.Frames == 0 {
 		t.Fatal("no work was actually done")
+	}
+}
+
+// BenchmarkRouteFrame is the in-process handler rung: OPT-FIXED frames
+// served through the message loop's step — header, session routing,
+// payload read, raw baseline, LaneSet.TransmitBatch, mask packing, reply
+// write — from a long in-memory stream, with no socket. The drain-point
+// bookkeeping runs once per replay of the 256-frame stream.
+func BenchmarkRouteFrame(b *testing.B) {
+	for _, g := range []struct{ lanes, beats int }{{1, 8}, {8, 128}} {
+		b.Run(fmt.Sprintf("%dx%d", g.lanes, g.beats), func(b *testing.B) {
+			srv, err := New(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, st := newLoopConn(b, srv, SessionConfig{Scheme: "OPT-FIXED", Lanes: g.lanes, Beats: g.beats}, io.Discard)
+			var stream []byte
+			for _, f := range randomFrames(5, 256, g.lanes, g.beats) {
+				stream = append(stream, frameMessage(b, f, g.lanes, g.beats, st.id)...)
+			}
+			src := bytes.NewReader(nil)
+			c.r = bufio.NewReader(src)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if src.Len() == 0 && c.r.Buffered() == 0 {
+					src.Reset(stream) // a message boundary: replay the stream
+				}
+				if !c.step() {
+					b.Fatalf("frame %d ended the connection", i)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+		})
 	}
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // metricsShard is one core's slice of the server counters. Connections are
-// spread over the shards at accept time, so the frame hot path increments
-// counters no other core is writing — the same shard-per-core layout the
-// session table uses. The struct is padded to two cache lines' worth of
-// counters plus tail padding, keeping adjacent shards off each other's
-// cache lines (the false-sharing half of the bargain; the no-contention
-// half is the accept-time spreading).
+// spread over the shards at accept time. The encode counters (switches
+// through encodeNs) are written only when a connection settles its pending
+// connAcct at a drain point — once per drain cycle, never per frame; the
+// lifecycle counters move once per event. The struct is padded to two
+// cache lines' worth of counters plus tail padding, keeping adjacent
+// shards off each other's cache lines.
 type metricsShard struct {
 	conns    atomic.Int64 // connections accepted
 	accepted atomic.Int64 // session opens attempted (handshake or msgOpen)
@@ -34,7 +34,7 @@ type metricsShard struct {
 	rawZeros    atomic.Int64
 	rawToggle   atomic.Int64
 
-	encodeNs atomic.Int64 // wall time spent in encode handlers
+	encodeNs atomic.Int64 // connection busy time: wall time outside waits for input and drain-point flushes
 
 	timeouts atomic.Int64 // connections killed by an idle/write deadline
 	busy     atomic.Int64 // busy rejections: shed connections + refused opens
@@ -66,9 +66,6 @@ func (m *metricsShard) noteClose() { m.active.Add(-1) }
 // noteAdaptive records the opening of an adaptive session.
 func (m *metricsShard) noteAdaptive() { m.adaptive.Add(1) }
 
-// noteSwitch records one adaptive scheme switch (any session, any lane).
-func (m *metricsShard) noteSwitch() { m.switches.Add(1) }
-
 // noteTimeout records one connection killed by an idle/write deadline.
 func (m *metricsShard) noteTimeout() { m.timeouts.Add(1) }
 
@@ -95,28 +92,36 @@ func (m *metricsShard) notePark(delta int64) { m.parked.Add(delta) }
 // notePanic records one handler panic recovered into a clean teardown.
 func (m *metricsShard) notePanic() { m.panics.Add(1) }
 
-// noteEncode records one encode handler invocation: frames and bursts
-// processed, the activity deltas, and the time spent. batch distinguishes
-// batch messages from single-frame messages.
-func (m *metricsShard) noteEncode(batch bool, frames, bursts, beats int, coded, raw Cost, d time.Duration) {
-	if batch {
-		m.batches.Add(1)
+// noteEncode publishes one connection's pending encode counters: one Add
+// per nonzero field, once per drain cycle.
+func (m *metricsShard) noteEncode(a *connAcct) {
+	addNonzero(&m.frames, a.frames)
+	addNonzero(&m.batches, a.batches)
+	addNonzero(&m.bursts, a.bursts)
+	addNonzero(&m.beats, a.beats)
+	addNonzero(&m.switches, a.switches)
+	addNonzero(&m.codedZeros, int64(a.coded.Zeros))
+	addNonzero(&m.codedToggle, int64(a.coded.Transitions))
+	addNonzero(&m.rawZeros, int64(a.raw.Zeros))
+	addNonzero(&m.rawToggle, int64(a.raw.Transitions))
+	addNonzero(&m.encodeNs, int64(a.busy))
+}
+
+// addNonzero adds v to c, skipping the atomic when there is nothing to add.
+func addNonzero(c *atomic.Int64, v int64) {
+	if v != 0 {
+		c.Add(v)
 	}
-	m.frames.Add(int64(frames))
-	m.bursts.Add(int64(bursts))
-	m.beats.Add(int64(beats))
-	m.codedZeros.Add(int64(coded.Zeros))
-	m.codedToggle.Add(int64(coded.Transitions))
-	m.rawZeros.Add(int64(raw.Zeros))
-	m.rawToggle.Add(int64(raw.Transitions))
-	m.encodeNs.Add(int64(d))
 }
 
 // Metrics aggregates the server-wide counters behind the HTTP /metrics
-// endpoint. The hot counters are sharded per core
-// (see metricsShard) and only summed at snapshot time; the per-scheme
-// session counters are a mutex-guarded map touched once per session open,
-// never on the frame path.
+// endpoint. The counters are sharded per core (see metricsShard) and only
+// summed at snapshot time; the per-scheme session counters are a
+// mutex-guarded map touched once per session open, never on the frame
+// path. Encode counters are published at every drain point, before the
+// flush that sends the replies and the wait for more input, so a snapshot
+// is exact at quiescence and never behind a reply that a client waiting
+// for it holds.
 type Metrics struct {
 	shards []metricsShard
 	next   atomic.Uint64 // round-robin shard assignment at accept
@@ -176,12 +181,15 @@ type MetricsSnapshot struct {
 	// Coded and Raw accumulate the activity of the encoded transmissions
 	// and of their uncoded baseline, over all sessions.
 	Coded, Raw Cost
-	// EncodeTime is the wall time spent inside encode handlers.
+	// EncodeTime is connection busy time: the wall time connections spent
+	// outside waiting for input and flushing replies at drain points
+	// (parsing, encoding, buffering replies), summed over connections.
 	EncodeTime time.Duration
 	// TogglesSaved and ZerosSaved are Raw minus Coded, per component.
 	TogglesSaved, ZerosSaved int64
-	// NsPerBurst is EncodeTime divided by Bursts; TogglesSavedRatio is
-	// TogglesSaved over the raw transition count.
+	// NsPerBurst is EncodeTime divided by Bursts — busy nanoseconds per
+	// burst served; TogglesSavedRatio is TogglesSaved over the raw
+	// transition count.
 	NsPerBurst, TogglesSavedRatio float64
 	// ConnTimeouts counts connections killed by an idle/write deadline;
 	// BusyRejections counts overload rejections (shed connections plus
@@ -279,7 +287,7 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 	counter("dbiserve_coded_transitions_total", "Wire transitions after coding.", int64(s.Coded.Transitions))
 	counter("dbiserve_raw_zeros_total", "Transmitted zeros of the uncoded baseline.", int64(s.Raw.Zeros))
 	counter("dbiserve_raw_transitions_total", "Wire transitions of the uncoded baseline.", int64(s.Raw.Transitions))
-	counter("dbiserve_encode_ns_total", "Wall nanoseconds spent in encode handlers.", s.EncodeTime.Nanoseconds())
+	counter("dbiserve_encode_ns_total", "Connection busy nanoseconds: wall time outside waits for input and drain-point reply flushes.", s.EncodeTime.Nanoseconds())
 	counter("dbiserve_conn_timeouts_total", "Connections killed by an idle or write deadline.", s.ConnTimeouts)
 	counter("dbiserve_busy_rejections_total", "Overload rejections: shed connections and refused session opens.", s.BusyRejections)
 	counter("dbiserve_retries_total", "Resume attempts received (each is one client retry).", s.Retries)

@@ -187,7 +187,6 @@ func (c *conn) handleResume(n int) error {
 			return reject(statusError, err.Error())
 		}
 		st.id = rc.sid
-		st.m = c.m
 		c.sessions[rc.sid] = st
 		c.m.notePark(-1)
 		c.m.noteReattach()
@@ -324,9 +323,6 @@ func (st *sessState) seedFromClaim(rc resumeClaim) error {
 	}
 	st.totals = rc.totals
 	st.codedBase = rc.totals.Coded
-	st.rawPrev = rc.totals.Raw
-	// codedPrev stays zero: the rebuilt lane set's TotalCost restarts at
-	// zero, and the metrics deltas are measured against that.
 	return nil
 }
 

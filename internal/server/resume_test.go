@@ -421,6 +421,29 @@ func TestIdleTimeoutClosesConnection(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutSparesBusyConnection: the idle budget bounds the silence
+// between messages, not a connection's lifetime. A client that keeps
+// talking well inside the budget is served for several budgets in a row,
+// with no write deadline in play (WriteTimeout zero disables it).
+func TestIdleTimeoutSparesBusyConnection(t *testing.T) {
+	const idle = 80 * time.Millisecond
+	s := startServer(t, Config{IdleTimeout: idle})
+	c, err := Dial(s.Addr().String(), SessionConfig{Scheme: "DC", Lanes: 1, Beats: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	f := randomFrames(2, 1, 1, 8)[0]
+	for start := time.Now(); time.Since(start) < 5*idle; time.Sleep(idle / 8) {
+		if _, err := c.EncodeFrame(f); err != nil {
+			t.Fatalf("after %v of steady traffic: %v", time.Since(start).Round(time.Millisecond), err)
+		}
+	}
+	if m := s.Metrics().Snapshot(); m.ConnTimeouts != 0 {
+		t.Fatalf("%d connections timed out under steady traffic", m.ConnTimeouts)
+	}
+}
+
 // TestResumableSessionRejectsBatch: batch replies carry only totals, which
 // cannot keep a resume mirror coherent, so both ends refuse them.
 func TestResumableSessionRejectsBatch(t *testing.T) {

@@ -480,7 +480,8 @@ func (s *Server) closeConns() {
 // handle runs one connection: handshake, then the message loop until quit,
 // client close, or a connection-fatal protocol error. The connection's
 // counter shard is chosen here, once, so everything the connection records
-// lands on one shard.
+// lands on one shard; whatever it has not yet published when it ends is
+// settled on the way out.
 func (s *Server) handle(nc net.Conn) {
 	m := s.metrics.shard()
 	m.noteConn()
@@ -496,6 +497,7 @@ func (s *Server) handle(nc net.Conn) {
 		m.noteSession(false)
 		return
 	}
+	defer func() { c.settle(time.Now()) }()
 	defer c.closeAll()
 	defer func() {
 		// A panicking handler takes down its connection, not the server:

@@ -555,6 +555,130 @@ func TestServeMetrics(t *testing.T) {
 	})
 }
 
+// slowWriteListener hands the server connections whose Write returns only
+// a pause after the bytes are on the wire: the connection goroutine
+// descheduled between a reply reaching the client and whatever it runs
+// next. Counters published after a write would be caught lagging.
+type slowWriteListener struct{ net.Listener }
+
+func (l slowWriteListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return slowWriteConn{c}, nil
+}
+
+type slowWriteConn struct{ net.Conn }
+
+func (c slowWriteConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	time.Sleep(2 * time.Millisecond)
+	return n, err
+}
+
+// TestMetricsMatchReplies pins the publication contract: a Snapshot taken
+// the moment a reply arrives already counts everything that reply reports.
+// One client drives a frame session and a batch session over one socket
+// and, after every reply, compares the server's volume and activity
+// counters with the running sums of the totals it has received. A rebuild
+// leg then kills the socket, lets the parked frame session expire and
+// resumes it: the rebuilt session must add only its new frames, so the
+// server-wide Coded/Raw still equal the two sessions' final totals.
+func TestMetricsMatchReplies(t *testing.T) {
+	const lanes, beats = 2, 8
+	s, err := New(Config{ParkTimeout: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(slowWriteListener{lis}) //nolint:errcheck
+	t.Cleanup(func() { s.Close() })
+
+	mc, err := DialMuxOpts(lis.Addr().String(), SessionConfig{Lanes: lanes, Beats: beats},
+		MuxOptions{Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	fsess, err := mc.Open(SessionConfig{Scheme: "ACDC", Lanes: lanes, Beats: beats, ResumeToken: 0xfeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsess, err := mc.Open(SessionConfig{Scheme: "OPT-FIXED", Lanes: lanes, Beats: beats})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var batches int64
+	var bt Totals // the batch session's totals, as last received
+	check := func(what string) {
+		t.Helper()
+		ft := fsess.MirroredTotals() // the frame session's, as of its last reply
+		frames := int64(ft.Frames + bt.Frames)
+		coded, raw := ft.Coded.Add(bt.Coded), ft.Raw.Add(bt.Raw)
+		m := s.Metrics().Snapshot()
+		if m.Frames != frames || m.Batches != batches || m.Bursts != frames*lanes ||
+			m.Beats != int64(ft.Beats+bt.Beats) || m.Coded != coded || m.Raw != raw {
+			t.Fatalf("after %s: snapshot frames=%d batches=%d bursts=%d beats=%d coded=%+v raw=%+v; "+
+				"replies say frames=%d batches=%d bursts=%d beats=%d coded=%+v raw=%+v",
+				what, m.Frames, m.Batches, m.Bursts, m.Beats, m.Coded, m.Raw,
+				frames, batches, frames*lanes, ft.Beats+bt.Beats, coded, raw)
+		}
+	}
+	fs := randomFrames(8080, 40, lanes, beats)
+	bf := randomFrames(8081, 64, lanes, beats)
+	encodeFrames := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := fsess.EncodeFrame(fs[i]); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			check(fmt.Sprintf("frame %d", i))
+		}
+	}
+	next := 0
+	for n := 1; n <= 6; n++ {
+		encodeFrames(3*(n-1), 3*n)
+		if bt, err = bsess.EncodeBatch(bf[next : next+n]); err != nil {
+			t.Fatalf("batch %d: %v", n, err)
+		}
+		next += n
+		batches++
+		check(fmt.Sprintf("batch %d", n))
+	}
+
+	// Rebuild leg: drop the socket and wait until the parked frame session
+	// has expired (its MaxSessions slot is the last one held), so the next
+	// frame resumes it by rebuilding from the client's claim.
+	mc.mu.Lock()
+	mc.conn.Close()
+	mc.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.sessions.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions still held after the connection died: %d", s.sessions.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	encodeFrames(18, len(fs))
+	if m := s.Metrics().Snapshot(); m.Resumes != 1 {
+		t.Fatalf("server resumed %d sessions, want 1 (the rebuild)", m.Resumes)
+	}
+	final, err := fsess.Totals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics().Snapshot()
+	if m.Coded != final.Coded.Add(bt.Coded) || m.Raw != final.Raw.Add(bt.Raw) {
+		t.Fatalf("after the rebuild: server coded %+v raw %+v, sessions' final totals sum to coded %+v raw %+v",
+			m.Coded, m.Raw, final.Coded.Add(bt.Coded), final.Raw.Add(bt.Raw))
+	}
+}
+
 // phaseFrames materialises a deterministic phase-shifting multi-lane
 // workload (sparse then correlated phases, per lane), the traffic class
 // adaptive sessions exist for.

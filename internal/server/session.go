@@ -27,6 +27,12 @@ type conn struct {
 	r   *bufio.Reader
 	w   *bufio.Writer
 
+	// acct is the encode accounting not yet published to m; mark is when
+	// the loop last stopped waiting for input, the start of the busy
+	// interval the next drain point closes.
+	acct connAcct
+	mark time.Time
+
 	// idle and writeTO are the connection's deadline budgets (zero =
 	// disabled). Re-arming a deadline costs a syscall, so arm() amortises:
 	// deadlines are pushed forward only once armEvery (a quarter of the
@@ -69,7 +75,6 @@ type conn struct {
 // single-frame path allocation-free in steady state.
 type sessState struct {
 	id     uint64
-	m      *metricsShard
 	cfg    SessionConfig // resolved geometry and weights
 	scheme string        // resolved registry name
 	ls     *dbi.LaneSet  // the session's per-lane streams — all encode state
@@ -84,10 +89,6 @@ type sessState struct {
 	// advanced in lockstep with the coded streams so Totals.Raw is exact.
 	rawStates []bus.LineState
 	totals    Totals
-	// codedPrev/rawPrev remember the last reported accumulators so each
-	// encode message contributes an exact delta to the server metrics.
-	codedPrev Cost
-	rawPrev   Cost
 
 	// Adaptive sessions queue their controllers' switch records here (the
 	// OnSwitch hook runs on the connection goroutine, inside the encode)
@@ -129,6 +130,40 @@ func (st *sessState) savePrev() {
 	st.prevValid = true
 }
 
+// connAcct is a connection's pending encode accounting: plain counters the
+// connection goroutine bumps per message and publishes to its metrics
+// shard only at drain points (conn.settle), so the frame path carries no
+// atomic and no clock read.
+type connAcct struct {
+	frames, batches, bursts, beats, switches int64
+	coded, raw                               Cost
+	busy                                     time.Duration // wall time outside drain-point flushes and waits for input
+}
+
+// note folds one encode message into the pending counters.
+func (a *connAcct) note(frames, bursts, beats, switches int, coded, raw Cost) {
+	a.frames += int64(frames)
+	a.bursts += int64(bursts)
+	a.beats += int64(beats)
+	a.switches += int64(switches)
+	a.coded = a.coded.Add(coded)
+	a.raw = a.raw.Add(raw)
+}
+
+// settle closes the busy interval at now and publishes the pending
+// counters to the connection's shard. The loop settles at every drain
+// point, before the flush that sends the replies and before the wait for
+// input, and the connection settles once more on its way out, so a client
+// that waits for each reply never holds one whose counts a Snapshot lacks.
+func (c *conn) settle(now time.Time) {
+	c.acct.busy += now.Sub(c.mark)
+	c.mark = now
+	if c.acct != (connAcct{}) {
+		c.m.noteEncode(&c.acct)
+		c.acct = connAcct{}
+	}
+}
+
 // newConn performs the handshake on nc: it records the connection's
 // session defaults and replies immediately — sessions resolve at msgOpen.
 // A rejected handshake returns an error after telling the client why.
@@ -146,7 +181,6 @@ func (s *Server) newConn(nc net.Conn, m *metricsShard) (*conn, error) {
 	c := &conn{srv: s, m: m, nc: nc, r: r, w: w, sessions: make(map[uint64]*sessState)}
 	c.idle, c.writeTO = s.cfg.IdleTimeout, s.cfg.WriteTimeout
 	c.armEvery = armInterval(c.idle, c.writeTO)
-	c.arm()
 	if cfg.Alpha == 0 && cfg.Beta == 0 {
 		cfg.Alpha, cfg.Beta = s.cfg.Alpha, s.cfg.Beta
 	}
@@ -157,6 +191,13 @@ func (s *Server) newConn(nc net.Conn, m *metricsShard) (*conn, error) {
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
+	if c.idle > 0 {
+		// The handshake's absolute deadline (set in handle) ends here: the
+		// loop's first drain point arms the steady-state budgets, and a
+		// disabled write budget must not inherit it.
+		nc.SetDeadline(time.Time{}) //nolint:errcheck
+	}
+	c.mark = time.Now()
 	return c, nil
 }
 
@@ -176,7 +217,6 @@ func (c *conn) newSessState(sid uint64, cfg SessionConfig) (*sessState, error) {
 
 	st := &sessState{
 		id:        sid,
-		m:         c.m,
 		cfg:       cfg,
 		adaptive:  adaptive,
 		frameBuf:  make([]byte, cfg.Lanes*cfg.Beats),
@@ -286,19 +326,17 @@ func armInterval(idle, writeTO time.Duration) time.Duration {
 	return min / 4
 }
 
-// arm pushes the connection's deadlines forward: reads get the idle
-// budget, writes get writeTO of headroom past it, so the reply to a
-// request that arrived at the last moment still has time to drain.
-// Amortised through armEvery — the steady-state frame path re-arms (one
-// syscall per deadline) only a few times per budget, not per frame.
+// arm pushes the connection's deadlines forward from now: reads get the
+// idle budget, writes get writeTO of headroom past it, so the reply to a
+// request that arrived at the last moment still has time to drain. The
+// loop arms at its drain points, where it waits for the next message, on
+// the clock read it already takes there; armEvery amortises it further, so
+// a busy connection re-arms (one syscall per deadline) only a few times
+// per budget.
 //
 //dbi:hotpath
-func (c *conn) arm() {
-	if c.nc == nil || (c.idle <= 0 && c.writeTO <= 0) {
-		return
-	}
-	now := time.Now()
-	if now.Sub(c.lastArm) < c.armEvery {
+func (c *conn) arm(now time.Time) {
+	if c.nc == nil || (c.idle <= 0 && c.writeTO <= 0) || now.Sub(c.lastArm) < c.armEvery {
 		return
 	}
 	c.lastArm = now
@@ -330,65 +368,81 @@ func (c *conn) noteDead(err error) {
 }
 
 // loop dispatches messages until the client quits, disconnects, or breaks
-// the protocol in a connection-fatal way. Replies are not flushed per
-// message — a pipelining client would pay a syscall per frame — but exactly
-// when the read side has no buffered input, i.e. immediately before the
-// only read that could block. bufio only blocks the loop's ReadFull/ReadByte
-// calls when its buffer is empty, so everything produced by still-buffered
-// requests is flushed before the connection goes quiet.
+// the protocol in a connection-fatal way.
 func (c *conn) loop() {
-	for {
-		c.arm()
-		if c.r.Buffered() == 0 {
-			if err := c.w.Flush(); err != nil {
-				c.noteDead(err)
-				return
-			}
-		}
-		typ, n, err := readHeader(c.r, &c.hdr)
-		if err != nil {
-			c.noteDead(err) // client closed (or the connection died)
-			return
-		}
-		switch typ {
-		case msgFrame:
-			err = c.routeFrame(n)
-		case msgBatch:
-			err = c.routeSession(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
-		case msgTotals:
-			err = c.routeSession(n, func(st *sessState, rem int) error {
-				if err := c.discardN(rem); err != nil {
-					return err
-				}
-				return c.sendTotals(st)
-			})
-		case msgCloseSess:
-			err = c.routeSession(n, func(st *sessState, rem int) error {
-				if err := c.discardN(rem); err != nil {
-					return err
-				}
-				if err := c.sendTotals(st); err != nil {
-					return err
-				}
-				c.closeSession(st.id)
-				return nil
-			})
-		case msgOpen:
-			err = c.handleOpen(n)
-		case msgResume:
-			err = c.handleResume(n)
-		case msgQuit:
-			c.handleQuit(n)
-			return
-		default:
-			c.connFail(fmt.Errorf("server: unknown message type %q", typ)) //nolint:errcheck
-			return
-		}
-		if err != nil {
+	for c.step() {
+	}
+}
+
+// step serves one message and reports whether the connection goes on.
+// Replies are not flushed per message — a pipelining client would pay a
+// syscall per frame — but at the drain point: when the read side has no
+// buffered input, immediately before the read that may block. That is
+// also where the connection's bookkeeping runs, once per drain cycle
+// rather than per frame: it settles its counters (so they are published
+// before the replies leave), arms its deadlines and closes its busy
+// interval on one clock read, and reopens the interval when input
+// arrives. bufio only blocks readHeader when its buffer is empty, so
+// everything produced by still-buffered requests is flushed before the
+// connection goes quiet.
+func (c *conn) step() bool {
+	drained := c.r.Buffered() == 0
+	if drained {
+		now := time.Now()
+		c.settle(now)
+		c.arm(now)
+		if err := c.w.Flush(); err != nil {
 			c.noteDead(err)
-			return
+			return false
 		}
 	}
+	typ, n, err := readHeader(c.r, &c.hdr)
+	if drained {
+		c.mark = time.Now() // the wait is over: a busy interval opens
+	}
+	if err != nil {
+		c.noteDead(err) // client closed (or the connection died)
+		return false
+	}
+	switch typ {
+	case msgFrame:
+		err = c.routeFrame(n)
+	case msgBatch:
+		err = c.routeSession(n, func(st *sessState, rem int) error { return c.handleBatch(st, rem) })
+	case msgTotals:
+		err = c.routeSession(n, func(st *sessState, rem int) error {
+			if err := c.discardN(rem); err != nil {
+				return err
+			}
+			return c.sendTotals(st)
+		})
+	case msgCloseSess:
+		err = c.routeSession(n, func(st *sessState, rem int) error {
+			if err := c.discardN(rem); err != nil {
+				return err
+			}
+			if err := c.sendTotals(st); err != nil {
+				return err
+			}
+			c.closeSession(st.id)
+			return nil
+		})
+	case msgOpen:
+		err = c.handleOpen(n)
+	case msgResume:
+		err = c.handleResume(n)
+	case msgQuit:
+		c.handleQuit(n)
+		return false
+	default:
+		c.connFail(fmt.Errorf("server: unknown message type %q", typ)) //nolint:errcheck
+		return false
+	}
+	if err != nil {
+		c.noteDead(err)
+		return false
+	}
+	return true
 }
 
 // readSid reads the uvarint session-id prefix of a message payload,
@@ -546,6 +600,7 @@ func (c *conn) handleQuit(n int) {
 	if _, err := c.w.Write(c.totalsBuf[:]); err != nil {
 		return
 	}
+	c.settle(time.Now())
 	c.w.Flush() //nolint:errcheck
 }
 
@@ -557,13 +612,13 @@ func adaptiveSchemeName(candidates []string) string {
 
 // noteSwitch is the adaptive controllers' OnSwitch hook: it queues one
 // SWITCH notice for the client and counts the switch. Frame and batch
-// encodes both call it from the connection goroutine.
+// encodes both call it from the connection goroutine, which folds the
+// change in st.switches into its own counters.
 func (st *sessState) noteSwitch(sw adapt.Switch) {
 	st.pending = append(st.pending, SwitchNote{
 		Lane: sw.Lane, Ordinal: sw.Ordinal, Burst: sw.Burst, From: sw.From, To: sw.To,
 	})
 	st.switches++
-	st.m.noteSwitch()
 }
 
 // refreshTotals folds the live encode state into the session's Totals.
@@ -610,7 +665,6 @@ func (c *conn) flushSwitches(st *sessState) error {
 //
 //dbi:hotpath
 func (c *conn) replyHeader(typ byte, sid uint64, payloadLen int) error {
-	c.arm() // keep the (amortised) write deadline ahead of this reply
 	sn := binary.PutUvarint(c.sidBuf[:], sid)
 	putHeader(&c.hdr, typ, sn+payloadLen)
 	if _, err := c.w.Write(c.hdr[:]); err != nil {
@@ -664,6 +718,7 @@ func (c *conn) connFail(err error) error {
 	if _, werr := c.w.WriteString(msg); werr != nil {
 		return werr
 	}
+	c.settle(time.Now())
 	c.w.Flush() //nolint:errcheck
 	return err
 }
@@ -690,8 +745,8 @@ func (c *conn) handleFrame(st *sessState, n int) error {
 	if st.resumable() {
 		st.savePrev() // pre-frame snapshot: the resume validation target
 	}
-	start := time.Now()
-	st.accumulateRaw(st.frame)
+	switches := st.switches
+	raw := st.accumulateRaw(st.frame)
 	lb := st.ls.TransmitBatch(st.frame)
 	mb := maskBytes(st.cfg.Beats)
 	for l := 0; l < lb.Lanes(); l++ {
@@ -707,7 +762,7 @@ func (c *conn) handleFrame(st *sessState, n int) error {
 	}
 	st.totals.Frames++
 	st.totals.Beats += st.cfg.Lanes * st.cfg.Beats
-	st.noteDelta(false, 1, st.cfg.Lanes, st.cfg.Lanes*st.cfg.Beats, start)
+	c.acct.note(1, st.cfg.Lanes, st.cfg.Lanes*st.cfg.Beats, st.switches-switches, lb.TotalCost(), raw)
 
 	if err := c.flushSwitches(st); err != nil {
 		return err
@@ -743,7 +798,6 @@ func (c *conn) handleBatch(st *sessState, n int) error {
 		// resumable session's exactly-once story holds only frame by frame.
 		return c.sessFail(st.id, errBatchResumable)
 	}
-	start := time.Now()
 	beats, body, err := trace.ParseBlob(buf)
 	if err != nil {
 		return c.sessFail(st.id, err)
@@ -757,42 +811,39 @@ func (c *conn) handleBatch(st *sessState, n int) error {
 	}
 	f := c.batchFrame[:lanes]
 	bursts := len(body) / beats
+	before, switches := st.ls.TotalCost(), st.switches
+	var raw Cost
 	for rest := body; len(rest) > 0; {
 		rest = trace.NextFrameView(f, rest, beats)
-		st.accumulateRaw(f)
+		raw = raw.Add(st.accumulateRaw(f))
 		st.ls.TransmitBatch(f)
 	}
+	after := st.ls.TotalCost()
+	coded := Cost{Zeros: after.Zeros - before.Zeros, Transitions: after.Transitions - before.Transitions}
 	frames := (bursts + lanes - 1) / lanes
 	st.totals.Frames += frames
 	st.totals.Beats += len(body)
-	st.noteDelta(true, frames, bursts, len(body), start)
+	c.acct.batches++
+	c.acct.note(frames, bursts, len(body), st.switches-switches, coded, raw)
 	return c.sendTotals(st)
 }
 
-// accumulateRaw advances the uncoded baseline over one frame. The raw
-// baseline is the all-plain wire, so every burst — any length — costs
-// through the bit-parallel bus.PlainCost, and the final state is just the
-// last beat driven uninverted.
-func (st *sessState) accumulateRaw(f bus.Frame) {
+// accumulateRaw advances the uncoded baseline over one frame and returns
+// the frame's raw cost, already folded into totals.Raw. The raw baseline is
+// the all-plain wire, so every burst — any length — costs through the
+// bit-parallel bus.PlainCost, and the final state is just the last beat
+// driven uninverted.
+func (st *sessState) accumulateRaw(f bus.Frame) (raw Cost) {
 	for l, b := range f {
 		s := st.rawStates[l]
-		st.totals.Raw = st.totals.Raw.Add(bus.PlainCost(s, b))
+		raw = raw.Add(bus.PlainCost(s, b))
 		if len(b) > 0 {
 			s = bus.Advance(s, b[len(b)-1], false)
 		}
 		st.rawStates[l] = s
 	}
-}
-
-// noteDelta records one encode message's contribution to the server
-// metrics, as the exact difference of the session accumulators.
-func (st *sessState) noteDelta(batch bool, frames, bursts, beats int, start time.Time) {
-	coded := st.ls.TotalCost()
-	codedDelta := Cost{Zeros: coded.Zeros - st.codedPrev.Zeros, Transitions: coded.Transitions - st.codedPrev.Transitions}
-	rawDelta := Cost{Zeros: st.totals.Raw.Zeros - st.rawPrev.Zeros, Transitions: st.totals.Raw.Transitions - st.rawPrev.Transitions}
-	st.codedPrev = coded
-	st.rawPrev = st.totals.Raw
-	st.m.noteEncode(batch, frames, bursts, beats, codedDelta, rawDelta, time.Since(start))
+	st.totals.Raw = st.totals.Raw.Add(raw)
+	return raw
 }
 
 // sendTotals answers with one session's cumulative accounting.

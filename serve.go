@@ -43,8 +43,8 @@ type (
 	// Client.Switches).
 	SessionSwitch = server.SwitchNote
 	// ServerMetrics is the server-wide counter set (bursts, toggles
-	// saved, ns/burst, session lifecycle), aggregated from the per-core
-	// shards; WritePrometheus renders it in exposition format.
+	// saved, connection busy ns/burst, session lifecycle), aggregated from
+	// the per-core shards; WritePrometheus renders it in exposition format.
 	ServerMetrics = server.MetricsSnapshot
 	// LoadConfig parameterizes a load-generator run: connections,
 	// multiplexed sessions per connection, frames, geometry, in-flight
