@@ -15,7 +15,6 @@ import (
 	"dbiopt/internal/dbi"
 	"dbiopt/internal/experiments"
 	"dbiopt/internal/hw"
-	"dbiopt/internal/memctrl"
 	"dbiopt/internal/phy"
 	"dbiopt/internal/trace"
 )
@@ -130,17 +129,6 @@ func BenchmarkAblationBurstLength(b *testing.B) {
 	cfg.Bursts = 200
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.BurstLengthAblation(cfg, []int{2, 4, 8, 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationWindow regenerates the cross-burst joint-encoding study.
-func BenchmarkAblationWindow(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Bursts = 400
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WindowAblation(cfg, []int{1, 2, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -532,34 +520,4 @@ func BenchmarkHardwareSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Encode(sim, bus.InitialLineState, workload[i%len(workload)])
 	}
-}
-
-// BenchmarkMemChannel measures the end-to-end memory-channel write path
-// with optimal coding.
-func BenchmarkMemChannel(b *testing.B) {
-	link := phy.POD135(3*phy.PicoFarad, 12*phy.Gbps)
-	enc, err := dbi.Lookup("OPT-FIXED", dbi.FixedWeights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctl, err := memctrl.NewController(memctrl.DefaultGeometry(), memctrl.GDDR5Timing(), link, enc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	size := memctrl.DefaultGeometry().BurstBytes(memctrl.GDDR5Timing())
-	src := trace.NewUniform(4)
-	data := make([][]byte, 64)
-	for i := range data {
-		data[i] = src.Next(size)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctl.Submit(memctrl.Request{Addr: uint64(i%1024) * uint64(size), Write: true, Data: data[i%len(data)]}); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 {
-			ctl.Drain()
-		}
-	}
-	ctl.Drain()
 }

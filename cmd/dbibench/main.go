@@ -24,7 +24,6 @@ import (
 
 	"dbiopt/internal/experiments"
 	"dbiopt/internal/hw"
-	"dbiopt/internal/phy"
 	"dbiopt/internal/stats"
 )
 
@@ -115,7 +114,7 @@ func run() error {
 	cross := fig4Full.Crossover()
 	savOpt, atOpt := fig4Full.MaxAdvantage(fig4Full.Opt)
 	savFix, atFix := fig4Full.MaxAdvantage(fig4Full.OptFixed)
-	fmt.Printf("Fig. 3/4: AC overtakes DC at alpha=%.2f (paper: 0.56)\n", cross)
+	fmt.Printf("Fig. 3/4: AC overtakes DC at alpha=%.3f (paper: 0.56)\n", cross)
 	fmt.Printf("          max OPT advantage %.2f%% at alpha=%.2f (paper: 6.75%%)\n", savOpt*100, atOpt)
 	fmt.Printf("          max OPT(Fixed) advantage %.2f%% at alpha=%.2f (paper: 6.58%%)\n\n", savFix*100, atFix)
 
@@ -141,7 +140,7 @@ func run() error {
 		return err
 	}
 	rate, saving := fig7.MaxGainRate()
-	fmt.Printf("Fig. 7: DC beats OPT(Fixed) until %.1f Gbps (paper: 3.8)\n", fig7.DCOptFixedCrossover())
+	fmt.Printf("Fig. 7: DC beats OPT(Fixed) until %.3f Gbps (paper: 3.8)\n", fig7.DCOptFixedCrossover())
 	fmt.Printf("        max gain %.2f%% at %.1f Gbps (paper: ~6%% around 14 Gbps)\n\n", saving*100, rate)
 
 	// Fig. 8.
@@ -170,8 +169,7 @@ func run() error {
 }
 
 // runAblations executes the design-choice studies (coefficient width,
-// greedy-vs-optimal, burst length, cross-burst window) and prints their
-// summaries.
+// greedy-vs-optimal, burst length) and prints their summaries.
 func runAblations(cfg experiments.Config) error {
 	coeff, err := experiments.CoefficientBitsAblation(cfg, 5)
 	if err != nil {
@@ -196,31 +194,7 @@ func runAblations(cfg experiments.Config) error {
 	for i, n := range bl.Beats {
 		fmt.Printf("  BL%-3d %.2f%%\n", n, bl.Advantage[i]*100)
 	}
-
-	win, err := experiments.WindowAblation(cfg, []int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nAblation — joint encoding across burst boundaries (alpha=0.5):")
-	for i, w := range win.Windows {
-		fmt.Printf("  window %-2d %.4f per burst\n", w, win.Energy[i])
-	}
-	fmt.Printf("  best window saves %.3f%% over per-burst encoding\n\n", win.Improvement()*100)
-
-	sso, err := experiments.SSOStudy(cfg, 4)
-	if err != nil {
-		return err
-	}
-	if err := sso.Table().WriteText(os.Stdout); err != nil {
-		return err
-	}
-
-	wl, err := experiments.WorkloadStudy(cfg, phy.POD135(3*phy.PicoFarad, 12*phy.Gbps))
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	return wl.Table().WriteText(os.Stdout)
+	return nil
 }
 
 func writePlot(p *stats.Plot, dir, name string) error {

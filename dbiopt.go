@@ -197,9 +197,9 @@ func OptQuantized(alpha, beta uint8) (Encoder, error) { return dbi.NewQuantized(
 func NewEncoder(name string, w Weights) (Encoder, error) { return dbi.Lookup(name, w) }
 
 // CompileScheme compiles a registered scheme against one weight vector and
-// one bus geometry and returns its Kernel, cached per triple for stateless
-// schemes. Every decision the per-burst hot paths used to make — scheme
-// kind, integer-vs-float trellis, scaled coefficients, greedy thresholds,
+// one bus geometry and returns its Kernel, cached per triple. Every
+// decision the per-burst hot paths used to make — scheme kind,
+// integer-vs-float trellis, scaled coefficients, greedy thresholds,
 // narrow-vs-wide mask routing — happens here, once. Third-party schemes
 // added with RegisterScheme compile too (through the generic fallback that
 // binds whatever fast paths they implement), so the compiled surface is
@@ -214,8 +214,10 @@ func CompileScheme(name string, w Weights, geom Geometry) (*Kernel, error) {
 
 // RegisterScheme adds a named scheme factory to the registry, making it
 // constructible through NewEncoder and selectable via the CLIs' -scheme
-// flag without touching this package. It panics on duplicate or empty
-// names.
+// flag without touching this package. The factory must return a pure
+// encoder: its pattern depends only on (prev, burst, weights), never on
+// call order or instance, so one value is shared across goroutines and
+// compiled once. It panics on duplicate or empty names.
 func RegisterScheme(name string, f SchemeFactory) { dbi.Register(name, f) }
 
 // SchemeNames lists the names NewEncoder accepts, built-ins first in
@@ -297,9 +299,8 @@ func NewLaneSet(enc Encoder, n int) *LaneSet { return dbi.NewLaneSet(enc, n) }
 // NewPipeline returns a sharded streaming encoder for frames of the given
 // lane count. Lanes are independent Markov chains over LineState, so they
 // are encoded concurrently with per-lane state continuity preserved; totals
-// are bit-identical to the serial LaneSet path. Stateful encoders (such as
-// noisy analog models) are detected and run serially, so the pipeline is
-// safe for every encoder.
+// are bit-identical to the serial LaneSet path. Encoders are pure (the
+// registration contract), so one value is shared by every worker.
 func NewPipeline(enc Encoder, lanes int, opts ...PipelineOption) *Pipeline {
 	return dbi.NewPipeline(enc, lanes, opts...)
 }
@@ -315,10 +316,6 @@ func WithChunkFrames(n int) PipelineOption { return dbi.WithChunkFrames(n) }
 
 // FramesOf adapts an in-memory frame sequence to a FrameSource.
 func FramesOf(frames []Frame) FrameSource { return dbi.FramesOf(frames) }
-
-// StatelessEncoder reports whether enc is safe for concurrent use; the
-// parallel drivers fall back to serial evaluation when it returns false.
-func StatelessEncoder(enc Encoder) bool { return dbi.Stateless(enc) }
 
 // ParetoFront enumerates the Pareto-optimal (zeros, transitions) outcomes
 // of a burst over all inversion patterns (bursts of at most 24 beats).

@@ -132,9 +132,6 @@ func TestFacadePipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !StatelessEncoder(enc) {
-			t.Errorf("%s unexpectedly stateful", name)
-		}
 		ls := NewLaneSet(enc, lanes)
 		for _, f := range fs {
 			ls.Transmit(f)

@@ -2,6 +2,7 @@ package dbiopt_test
 
 import (
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -14,6 +15,22 @@ func readDoc(t *testing.T, name string) string {
 		t.Fatalf("reading %s: %v", name, err)
 	}
 	return string(data)
+}
+
+// docSection returns the section of a repo-level document that starts at
+// the given heading line and runs to the next level-2 heading.
+func docSection(t *testing.T, name, heading string) string {
+	t.Helper()
+	doc := readDoc(t, name)
+	start := strings.Index(doc, heading)
+	if start < 0 {
+		t.Fatalf("%s has no '%s' section", name, heading)
+	}
+	end := strings.Index(doc[start+1:], "\n## ")
+	if end < 0 {
+		return doc[start:]
+	}
+	return doc[start : start+1+end]
 }
 
 // cmdBinaries lists the binaries under cmd/.
@@ -40,18 +57,7 @@ func cmdBinaries(t *testing.T) []string {
 // about it fails here (and in CI). The layering diagram is the map a new
 // reader orients by, so it must never silently fall behind the tree.
 func TestDesignLayeringMentionsAllBinaries(t *testing.T) {
-	design := readDoc(t, "DESIGN.md")
-	start := strings.Index(design, "## 1. Layering")
-	if start < 0 {
-		t.Fatal("DESIGN.md has no '## 1. Layering' section")
-	}
-	end := strings.Index(design[start+1:], "\n## ")
-	if end < 0 {
-		end = len(design)
-	} else {
-		end += start + 1
-	}
-	layering := design[start:end]
+	layering := docSection(t, "DESIGN.md", "## 1. Layering")
 	for _, bin := range cmdBinaries(t) {
 		if !strings.Contains(layering, bin) {
 			t.Errorf("DESIGN.md §1 layering does not mention cmd/%s", bin)
@@ -98,6 +104,39 @@ func TestReadmeMentionsAllExamples(t *testing.T) {
 	for _, ex := range exampleDirs(t) {
 		if !strings.Contains(readme, ex) {
 			t.Errorf("README.md does not mention examples/%s", ex)
+		}
+	}
+}
+
+// TestDocsNameOnlyExistingPaths is the other direction of the
+// docs-freshness gate: every internal package that DESIGN.md §1 or the
+// README's Layout section names, and every walkthrough on the Layout's
+// examples/ line, must exist on disk, so deleting a package or an example
+// without updating the maps fails here (and in CI).
+func TestDocsNameOnlyExistingPaths(t *testing.T) {
+	layout := docSection(t, "README.md", "## Layout")
+	pkgRE := regexp.MustCompile(`internal/[a-z0-9_]+`)
+	for where, text := range map[string]string{
+		"DESIGN.md §1":     docSection(t, "DESIGN.md", "## 1. Layering"),
+		"README.md Layout": layout,
+	} {
+		for _, pkg := range pkgRE.FindAllString(text, -1) {
+			if fi, err := os.Stat(pkg); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which does not exist", where, pkg)
+			}
+		}
+	}
+	examples := regexp.MustCompile("(?m)^- `examples/`[^:\n]*:(.*)$").FindStringSubmatch(layout)
+	if examples == nil {
+		t.Fatal("README.md Layout has no examples/ line")
+	}
+	names := regexp.MustCompile("`([a-z0-9_]+)`").FindAllStringSubmatch(examples[1], -1)
+	if len(names) == 0 {
+		t.Fatal("README.md Layout examples/ line lists no walkthroughs")
+	}
+	for _, m := range names {
+		if fi, err := os.Stat("examples/" + m[1]); err != nil || !fi.IsDir() {
+			t.Errorf("README.md Layout lists examples/%s, which does not exist", m[1])
 		}
 	}
 }

@@ -82,8 +82,7 @@ type Switch struct {
 type Config struct {
 	// Candidates are the registry names of the schemes to arbitrate
 	// between, in priority order: the first is the initial live scheme,
-	// and earlier candidates win cost ties. Every candidate must be
-	// stateless (safe to shadow-encode alongside the live scheme).
+	// and earlier candidates win cost ties.
 	Candidates []string
 	// Weights are the comparison weights: window costs are ranked by
 	// Alpha*transitions + Beta*zeros. The zero value selects
@@ -124,8 +123,8 @@ func (cfg Config) withDefaults() Config {
 }
 
 // Validate reports an error for an unusable configuration (after default
-// resolution): too few candidates, duplicate or unknown names, stateful
-// candidates, bad weights, or an out-of-range margin.
+// resolution): too few candidates, duplicate or unknown names, bad
+// weights, or an out-of-range margin.
 func (cfg Config) Validate() error {
 	cfg = cfg.withDefaults()
 	if len(cfg.Candidates) < 2 {
@@ -137,12 +136,8 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("adapt: duplicate candidate %q", name)
 		}
 		seen[name] = true
-		enc, err := dbi.Lookup(name, cfg.Weights)
-		if err != nil {
+		if _, err := dbi.Lookup(name, cfg.Weights); err != nil {
 			return fmt.Errorf("adapt: candidate: %w", err)
-		}
-		if !dbi.Stateless(enc) {
-			return fmt.Errorf("adapt: candidate %q is stateful; shadow encoding needs stateless schemes", name)
 		}
 	}
 	if err := cfg.Weights.Validate(); err != nil {
@@ -255,11 +250,6 @@ func (c *Controller) Bursts() int { return c.bursts }
 // Window and Margin return the resolved decision parameters.
 func (c *Controller) Window() int     { return c.cfg.Window }
 func (c *Controller) Margin() float64 { return c.cfg.Margin }
-
-// Shardable implements dbi.Adapter: always true, because Validate admits
-// only stateless candidates and the controller's own state is confined to
-// the lane it drives.
-func (c *Controller) Shardable() bool { return true }
 
 // Observe implements dbi.Adapter: it shadow-encodes the burst with every
 // challenger candidate, accumulates exact window costs, and at window

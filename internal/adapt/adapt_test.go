@@ -1,7 +1,6 @@
 package adapt
 
 import (
-	"strings"
 	"testing"
 
 	"dbiopt/internal/bus"
@@ -64,20 +63,6 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("New accepted %+v", cfg)
 		}
 	}
-	// Stateful candidates are refused: shadow encoding would perturb their
-	// internal state.
-	inner, err := dbi.Lookup("DC", dbi.FixedWeights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbi.Register("ADAPT-TEST-STATEFUL", func(dbi.Weights) (dbi.Encoder, error) {
-		return dbi.NewNoisy(inner, 0.01, 1)
-	})
-	cfg := Config{Candidates: []string{"DC", "ADAPT-TEST-STATEFUL"}}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "stateful") {
-		t.Errorf("stateful candidate not refused: %v", err)
-	}
-
 	// The zero config resolves defaults and is valid.
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config invalid: %v", err)

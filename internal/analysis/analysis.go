@@ -11,7 +11,7 @@
 //   - contract: every Encoder implementation in the scheme package also
 //     implements the bit-parallel MaskEncoder fast path, is constructible
 //     through the registry, and is pinned by the golden tests and the mask
-//     equivalence fuzz target (stateful exceptions are allowlisted).
+//     equivalence fuzz target, with no exceptions.
 //   - baseline: bench_baseline.json entries, declared Benchmark functions
 //     and the CI bench-gate selection agree in both directions, so a
 //     renamed benchmark or a stale baseline entry fails lint instead of

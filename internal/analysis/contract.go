@@ -39,17 +39,13 @@ type ContractConfig struct {
 	// disables the clause (fixtures predating the kernel surface).
 	KernelFuzzFile string
 	KernelFuzzFunc string
-	// Allow lists scheme type names exempt from the whole contract —
-	// stateful wrappers like Noisy that deliberately have no mask fast
-	// path and no registry entry.
-	Allow []string
 }
 
 // DefaultContract is the repo's scheme contract: every Encoder in
 // internal/dbi implements MaskEncoder, registers itself, is pinned by
 // golden_test.go and FuzzMaskEquivalence, and has its compiled Kernel pinned
-// against the EncodeInto oracle by FuzzKernelEquivalence; *Noisy (stateful
-// analog-noise wrapper) is the one allowed exception.
+// against the EncodeInto oracle by FuzzKernelEquivalence. There are no
+// exceptions.
 var DefaultContract = ContractConfig{
 	PackagePath:    "dbiopt/internal/dbi",
 	Encoder:        "Encoder",
@@ -61,7 +57,6 @@ var DefaultContract = ContractConfig{
 	RegistryIter:   "Names",
 	KernelFuzzFile: "kernel_test.go",
 	KernelFuzzFunc: "FuzzKernelEquivalence",
-	Allow:          []string{"Noisy"},
 }
 
 // Contract type-checks the scheme package and enforces the scheme
@@ -92,11 +87,6 @@ func Contract(t *Tree, cfg ContractConfig) ([]Diagnostic, error) {
 	maskEncoder, err := lookupInterface(scope, cfg.MaskEncoder, cfg.PackagePath)
 	if err != nil {
 		return nil, err
-	}
-
-	allowed := make(map[string]bool, len(cfg.Allow))
-	for _, a := range cfg.Allow {
-		allowed[a] = true
 	}
 
 	// The scheme set: every non-interface named type whose value or
@@ -145,15 +135,12 @@ func Contract(t *Tree, cfg ContractConfig) ([]Diagnostic, error) {
 
 	var diags []Diagnostic
 	for _, s := range schemes {
-		if allowed[s.Name()] {
-			continue
-		}
 		pos := t.Fset.Position(s.Pos())
 		file, line := relOrSame(t, pos.Filename), pos.Line
 		if !implements(s.Type(), maskEncoder) {
 			diags = append(diags, Diagnostic{
 				File: file, Line: line, Analyzer: "contract",
-				Message: fmt.Sprintf("%s implements %s but not %s: every scheme needs the bit-parallel fast path (or an entry in the contract allowlist for stateful exceptions)", s.Name(), cfg.Encoder, cfg.MaskEncoder),
+				Message: fmt.Sprintf("%s implements %s but not %s: every scheme needs the bit-parallel fast path", s.Name(), cfg.Encoder, cfg.MaskEncoder),
 			})
 		}
 		if !registered[s] {

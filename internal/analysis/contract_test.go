@@ -12,12 +12,11 @@ var contractFixture = ContractConfig{
 	FuzzFile:     "fuzz_test.go",
 	FuzzFunc:     "FuzzMaskEquivalence",
 	RegistryIter: "Names",
-	Allow:        []string{"Allowed"},
 }
 
 // TestContractFixture seeds one scheme violating every clause (Bad), one
-// missing only golden coverage (NoGolden), one compliant (Good) and one
-// allowlisted (Allowed), and asserts exactly the seeded violations surface.
+// missing only golden coverage (NoGolden) and one compliant (Good), and
+// asserts exactly the seeded violations surface.
 func TestContractFixture(t *testing.T) {
 	tree := fixtureTree(t, "contractmod")
 	diags, err := Contract(tree, contractFixture)
@@ -25,11 +24,11 @@ func TestContractFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDiags(t, diags, []wantDiag{
-		{"enc.go", 60, "contract", "Bad implements Encoder but not MaskEncoder"},
-		{"enc.go", 60, "contract", "Bad is not constructed by any Register factory"},
-		{"enc.go", 60, "contract", "Bad is not covered by FuzzMaskEquivalence"},
-		{"enc.go", 60, "contract", "Bad is not referenced by golden_test.go"},
-		{"enc.go", 70, "contract", "NoGolden is not referenced by golden_test.go"},
+		{"enc.go", 51, "contract", "Bad implements Encoder but not MaskEncoder"},
+		{"enc.go", 51, "contract", "Bad is not constructed by any Register factory"},
+		{"enc.go", 51, "contract", "Bad is not covered by FuzzMaskEquivalence"},
+		{"enc.go", 51, "contract", "Bad is not referenced by golden_test.go"},
+		{"enc.go", 61, "contract", "NoGolden is not referenced by golden_test.go"},
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package contractmod is a scheme-contract fixture: a miniature registry
-// with one fully compliant scheme (Good), one allowlisted exception
-// (Allowed), one that violates every clause (Bad), and one missing only its
-// golden coverage and registered through a constructor (NoGolden).
+// with one fully compliant scheme (Good), one that violates every clause
+// (Bad), and one missing only its golden coverage and registered through a
+// constructor (NoGolden).
 package contractmod
 
 // Mask is the fixture's packed pattern type.
@@ -45,15 +45,6 @@ func (Good) Encode(b []byte) []bool { return make([]bool, len(b)) }
 
 // EncodeMask implements MaskEncoder.
 func (Good) EncodeMask(b []byte) (Mask, bool) { return 0, true }
-
-// Allowed implements Encoder only, but sits on the allowlist.
-type Allowed struct{}
-
-// Name implements Encoder.
-func (Allowed) Name() string { return "allowed" }
-
-// Encode implements Encoder.
-func (Allowed) Encode(b []byte) []bool { return make([]bool, len(b)) }
 
 // Bad violates every clause: no mask fast path, never registered, absent
 // from the golden and fuzz files.

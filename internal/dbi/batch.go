@@ -154,7 +154,7 @@ func batchEncoderOf(enc Encoder) BatchEncoder {
 // EncodeLaneBatch encodes every lane of a prepared batch with enc and
 // settles the per-lane costs and next states from the resulting masks. It
 // is Kernel.EncodeBatch behind a compile-on-demand cache: enc compiles
-// once (per comparable stateless encoder value) and every decision — the
+// once (per comparable encoder value) and every decision — the
 // frame-level fast path, the per-lane mask routing — is the kernel's. The
 // results are bit-identical to encoding each lane with its own Stream —
 // the contract TestLaneBatchMatchesSerial pins. Callers holding a *Kernel

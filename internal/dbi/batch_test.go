@@ -68,19 +68,12 @@ func TestLaneBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLaneBatchNoisy: an order-sensitive stateful encoder (Noisy consumes
-// its RNG per lane, per beat) still matches serial, via the generic
+// TestLaneBatchGenericFallback: a scheme with no mask form (the
+// EncodeInto-only third-party probe) still matches serial, via the generic
 // lane-order fallback.
-func TestLaneBatchNoisy(t *testing.T) {
-	mk := func() Encoder {
-		n, err := NewNoisy(ACDC{}, 0.05, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
+func TestLaneBatchGenericFallback(t *testing.T) {
 	frames := randomFrames(300, 5, 4, 48)
-	checkBatchAgainstSerial(t, "noisy", NewLaneSet(mk(), 4), NewLaneSet(mk(), 4), frames)
+	checkBatchAgainstSerial(t, "third-party", NewLaneSet(thirdParty{}, 4), NewLaneSet(thirdParty{}, 4), frames)
 }
 
 // switchingAdapter flips between two schemes every `period` bursts — a
@@ -101,7 +94,6 @@ func (s *switchingAdapter) Current() Encoder {
 
 func (s *switchingAdapter) Observe(bus.Burst, bus.Cost, bus.LineState) { s.seen++ }
 func (s *switchingAdapter) Reset()                                     { s.seen = 0 }
-func (s *switchingAdapter) Shardable() bool                            { return true }
 
 // TestLaneBatchAdaptive: adaptive lane sets take the per-lane fallback
 // (each burst must be observed by its lane's adapter) and still produce

@@ -70,8 +70,11 @@ var FixedWeights = Weights{Alpha: 1, Beta: 1}
 
 // Encoder is a DBI coding policy. Both methods compute the per-beat
 // inversion pattern for transmitting burst b on a lane whose wires
-// currently hold prev. Implementations must be deterministic and must not
-// retain b or dst.
+// currently hold prev. An encoder is a pure function of (prev, b) and the
+// weights it was constructed with: the pattern may not depend on call
+// order, on earlier calls or on which instance computes it, so one value
+// is safely shared by concurrent goroutines and compiled kernels are
+// cached per value. Implementations must not retain b or dst.
 type Encoder interface {
 	// Name returns the scheme's conventional name, e.g. "DBI DC".
 	Name() string

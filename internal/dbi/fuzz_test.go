@@ -128,9 +128,6 @@ func FuzzMaskEquivalence(f *testing.F) {
 				if err != nil {
 					continue // weights this scheme refuses (validated elsewhere)
 				}
-				if !Stateless(enc) {
-					continue
-				}
 				if _, isEx := enc.(Exhaustive); isEx && len(b) > 12 {
 					continue // brute force: keep the fuzz round fast
 				}
@@ -209,11 +206,8 @@ func FuzzWideMaskEquivalence(f *testing.F) {
 		for _, w := range weightCases {
 			for _, name := range Names() {
 				enc, err := Lookup(name, w)
-				if err != nil {
-					continue // weights this scheme refuses (validated elsewhere)
-				}
-				if !Stateless(enc) {
-					continue
+				if err != nil || name == thirdPartyName {
+					continue // refused weights (validated elsewhere), or no fast path
 				}
 				we, ok := enc.(WideMaskEncoder)
 				if !ok {

@@ -9,7 +9,7 @@
 // serving tier) bind a *Kernel once and never probe an interface again.
 //
 // A Kernel is total over the registry: schemes without native kernels
-// (*Noisy, third-party registrations) compile through a generic fallback
+// (third-party registrations) compile through a generic fallback
 // that binds their interface fast paths once, so every consumer speaks one
 // surface and the interface quartet becomes an implementation detail.
 package dbi
@@ -44,11 +44,10 @@ type Geometry struct {
 // safe to share across goroutines; all mutable encode scratch lives in the
 // caller (Stream, LaneBatch) or in pooled per-call scratch.
 type Kernel struct {
-	name      string
-	enc       Encoder
-	weights   Weights
-	geom      Geometry
-	stateless bool
+	name    string
+	enc     Encoder
+	weights Weights
+	geom    Geometry
 	// comparable records whether enc's dynamic type supports ==; adaptive
 	// streams use it to detect scheme switches without risking a panic on
 	// uncomparable third-party encoders.
@@ -97,10 +96,6 @@ func (k *Kernel) Weights() Weights { return k.weights }
 // Geometry returns the bus geometry the kernel was compiled for.
 func (k *Kernel) Geometry() Geometry { return k.geom }
 
-// Stateless reports whether the kernel's scheme is safe to share across
-// goroutines (see Stateless).
-func (k *Kernel) Stateless() bool { return k.stateless }
-
 // Compile looks name up in the scheme registry with the given weights and
 // compiles the resulting encoder for the geometry. All per-triple decisions
 // — integer-vs-float trellis, scaled coefficients, greedy thresholds, which
@@ -130,9 +125,7 @@ type kernelKey struct {
 var kernelCache sync.Map // kernelKey -> *Kernel
 
 // LookupKernel is the registry-integrated form of Compile: it returns the
-// cached kernel for the triple, compiling on first use. Stateful schemes
-// (whose encoder instances carry per-construction state, like *Noisy's RNG)
-// are compiled fresh on every call and never cached.
+// cached kernel for the triple, compiling on first use.
 func LookupKernel(name string, w Weights, geom Geometry) (*Kernel, error) {
 	key := kernelKey{name: name, w: w, geom: geom}
 	if v, ok := kernelCache.Load(key); ok {
@@ -142,9 +135,6 @@ func LookupKernel(name string, w Weights, geom Geometry) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !k.stateless {
-		return k, nil
-	}
 	v, _ := kernelCache.LoadOrStore(key, k)
 	return v.(*Kernel), nil
 }
@@ -152,14 +142,12 @@ func LookupKernel(name string, w Weights, geom Geometry) (*Kernel, error) {
 // encKernelCache memoises kernelOf by encoder value, so entry points that
 // take a bare Encoder (NewStream, EncodeLaneBatch, TotalCost, adapter
 // switches) compile each distinct encoder value once. Only comparable
-// values can key a map; only stateless kernels are safe to share.
+// values can key a map.
 var encKernelCache sync.Map // Encoder -> *Kernel
 
 // kernelOf returns the compiled kernel for an encoder value, cached when
-// the value is comparable and stateless. Anything else — stateful wrappers
-// like *Noisy (caching would pin transient instances forever), or
-// uncomparable third-party structs (cannot key a map) — compiles fresh,
-// which is still only a per-construction cost.
+// the value is comparable. Uncomparable third-party structs cannot key a
+// map and compile fresh, which is still only a per-construction cost.
 func kernelOf(enc Encoder) *Kernel {
 	t := reflect.TypeOf(enc)
 	cmp := t != nil && t.Comparable()
@@ -169,7 +157,7 @@ func kernelOf(enc Encoder) *Kernel {
 		}
 	}
 	k := CompileEncoder(enc, Geometry{})
-	if cmp && k.stateless {
+	if cmp {
 		encKernelCache.Store(enc, k)
 	}
 	return k
@@ -177,15 +165,14 @@ func kernelOf(enc Encoder) *Kernel {
 
 // CompileEncoder compiles an already-constructed encoder for the geometry.
 // Built-in schemes get native kernels — static concrete calls, frozen
-// coefficients, no interface dispatch; everything else (including *Noisy
-// and third-party registrations) gets the generic fallback, which binds the
-// encoder's interface fast paths once so Kernel is total over the registry.
+// coefficients, no interface dispatch; third-party registrations get the
+// generic fallback, which binds the encoder's interface fast paths once so
+// Kernel is total over the registry.
 func CompileEncoder(enc Encoder, geom Geometry) *Kernel {
 	k := &Kernel{
-		name:      enc.Name(),
-		enc:       enc,
-		geom:      geom,
-		stateless: Stateless(enc),
+		name: enc.Name(),
+		enc:  enc,
+		geom: geom,
 	}
 	if t := reflect.TypeOf(enc); t != nil {
 		k.comparable = t.Comparable()
@@ -302,10 +289,10 @@ func (k *Kernel) EncodeBatch(lb *LaneBatch) {
 }
 
 // encodeBatchLanes is the per-lane batch driver: each lane runs the
-// kernel's fastest applicable path directly over the batch arrays. Lanes
-// are visited in lane order, so even order-sensitive encoders (*Noisy
-// consumes its RNG per beat, per lane) see exactly the serial
-// LaneSet.Transmit sequence.
+// kernel's fastest applicable path directly over the batch arrays, in
+// lane order; schemes with no mask form for a lane (third-party
+// registrations, GREEDY and EXHAUSTIVE at non-dyadic weights) take their
+// EncodeInto path.
 //
 //dbi:hotpath
 func (k *Kernel) encodeBatchLanes(lb *LaneBatch) {

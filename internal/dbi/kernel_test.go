@@ -13,18 +13,18 @@ import (
 
 // thirdParty is the kernel surface's third-party probe: an EncodeInto-only
 // scheme registered from the test binary exactly as an external package
-// would register one. It reports Stateful() true to opt out of the
-// registry-wide stateless fast-path sweeps (it deliberately implements no
-// mask interfaces), but it is pure — any two instances agree — which is
+// would register one. It deliberately implements no mask interfaces, so
+// every consumer reaches it through the generic EncodeInto fallback. Like
+// every registered scheme it is pure — any two instances agree — which is
 // what lets the kernel fuzz compare a compiled instance against a freshly
 // constructed oracle instance.
 type thirdParty struct{}
 
-// Name implements Encoder.
-func (thirdParty) Name() string { return "TEST-THIRD-PARTY-KERNEL" }
+// thirdPartyName is the probe's registry name.
+const thirdPartyName = "TEST-THIRD-PARTY-KERNEL"
 
-// Stateful opts the scheme out of the stateless contract sweeps.
-func (thirdParty) Stateful() bool { return true }
+// Name implements Encoder.
+func (thirdParty) Name() string { return thirdPartyName }
 
 // Encode implements Encoder.
 func (tp thirdParty) Encode(prev bus.LineState, b bus.Burst) []bool {
@@ -41,7 +41,7 @@ func (thirdParty) EncodeInto(dst []bool, prev bus.LineState, b bus.Burst) []bool
 }
 
 func init() {
-	Register("TEST-THIRD-PARTY-KERNEL", func(Weights) (Encoder, error) { return thirdParty{}, nil })
+	Register(thirdPartyName, func(Weights) (Encoder, error) { return thirdParty{}, nil })
 }
 
 // FuzzKernelEquivalence is the pinning contract of the compiled surface:
@@ -124,9 +124,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if st.TotalCost() != wantC {
 					t.Fatalf("%s w=%+v n=%d: stream cost %+v != oracle %+v", name, w, n, st.TotalCost(), wantC)
 				}
-				if kern.Stateless() {
-					checkBatchOracle(t, kern, oracle, prev, b, int(rawN)%3+1)
-				}
+				checkBatchOracle(t, kern, oracle, prev, b, int(rawN)%3+1)
 			}
 		}
 	})
@@ -168,15 +166,12 @@ func checkBatchOracle(t *testing.T, kern *Kernel, oracle Encoder, prev bus.LineS
 
 // TestThirdPartyKernelParity pins the generic fallback kernel: a scheme the
 // compiler has never heard of still gets a total Kernel whose cost, state
-// and wire outcomes are bit-identical to its EncodeInto oracle, and
-// stateful kernels are compiled fresh rather than cached.
+// and wire outcomes are bit-identical to its EncodeInto oracle, and its
+// kernel is cached per triple like a built-in's.
 func TestThirdPartyKernelParity(t *testing.T) {
-	kern, err := LookupKernel("TEST-THIRD-PARTY-KERNEL", FixedWeights, Geometry{})
+	kern, err := LookupKernel(thirdPartyName, FixedWeights, Geometry{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if kern.Stateless() {
-		t.Error("Stateful() scheme compiled to a stateless kernel")
 	}
 	if _, ok := kern.EncodeMask(bus.InitialLineState, make(bus.Burst, 8)); ok {
 		t.Error("maskless scheme's kernel must decline the mask path")
@@ -201,17 +196,17 @@ func TestThirdPartyKernelParity(t *testing.T) {
 			t.Fatalf("n=%d: stream cost %+v != oracle %+v", n, st.TotalCost(), wantC)
 		}
 	}
-	again, err := LookupKernel("TEST-THIRD-PARTY-KERNEL", FixedWeights, Geometry{})
+	again, err := LookupKernel(thirdPartyName, FixedWeights, Geometry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again == kern {
-		t.Error("stateful scheme's kernel must not be cached")
+	if again != kern {
+		t.Error("same triple must bind the same compiled kernel")
 	}
 }
 
 // TestLookupKernelCaching pins the compile-once economics: one compiled
-// kernel per stateless (scheme, weights, geometry) triple, shared by every
+// kernel per (scheme, weights, geometry) triple, shared by every
 // consumer; distinct triples compile their own; unknown names fail with
 // the registry's vocabulary error.
 func TestLookupKernelCaching(t *testing.T) {
@@ -226,8 +221,8 @@ func TestLookupKernelCaching(t *testing.T) {
 	if k1 != k2 {
 		t.Error("same triple must bind the same compiled kernel")
 	}
-	if k1.Name() != "OPT-FIXED" || !k1.Stateless() {
-		t.Errorf("kernel identity: name %q stateless %v", k1.Name(), k1.Stateless())
+	if k1.Name() != "OPT-FIXED" {
+		t.Errorf("kernel identity: name %q", k1.Name())
 	}
 	kg, err := LookupKernel("OPT-FIXED", FixedWeights, Geometry{Beats: 8, Lanes: 4})
 	if err != nil {
@@ -275,7 +270,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 	for i := range wide {
 		wide[i] = randomBurst(rng, 128)
 	}
-	for name, enc := range statelessEncoders(t) {
+	for name, enc := range fastPathEncoders(t) {
 		t.Run(name, func(t *testing.T) {
 			k := CompileEncoder(enc, Geometry{})
 			prev := bus.InitialLineState

@@ -241,7 +241,7 @@ func TestEncodeMaskZeroAlloc(t *testing.T) {
 	for i := range workload {
 		workload[i] = randomBurst(rng, 8)
 	}
-	for name, enc := range statelessEncoders(t) {
+	for name, enc := range fastPathEncoders(t) {
 		me, ok := enc.(MaskEncoder)
 		if !ok {
 			t.Errorf("%s does not implement MaskEncoder", name)

@@ -7,24 +7,6 @@ import (
 	"dbiopt/internal/bus"
 )
 
-// statefulEncoder is implemented by encoders whose Encode mutates internal
-// state (for example *Noisy's RNG), making them unsafe to share across
-// goroutines and order-sensitive even on a single one.
-type statefulEncoder interface {
-	Stateful() bool
-}
-
-// Stateless reports whether enc can safely be shared by concurrent
-// goroutines. Encoders carrying mutable state declare themselves via the
-// Stateful method; every other encoder in this package is a pure value and
-// is stateless by construction.
-func Stateless(enc Encoder) bool {
-	if s, ok := enc.(statefulEncoder); ok {
-		return !s.Stateful()
-	}
-	return true
-}
-
 // TotalCost sums the exact wire activity of encoding every burst
 // independently from the idle state — the aggregation all per-burst
 // experiments reduce to. Because the counts are integers, the result is
@@ -75,10 +57,10 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ParallelTotalCost is TotalCost fanned out over worker goroutines.
-// Stateful encoders (see Stateless) are detected and evaluated serially, so
-// the call is safe — and deterministic — by construction for every encoder
-// in this package. workers <= 0 selects GOMAXPROCS.
+// ParallelTotalCost is TotalCost fanned out over worker goroutines. Every
+// encoder is a pure function of (prev, burst, weights) — the registration
+// contract — so sharing one across goroutines is safe. workers <= 0
+// selects GOMAXPROCS.
 //
 // Integer accumulation makes the result bit-identical to the serial
 // version, so experiments stay deterministic when parallelised.
@@ -94,9 +76,8 @@ func ParallelTotalCost(enc Encoder, bursts []bus.Burst, workers int) bus.Cost {
 // ParallelCosts computes the per-burst from-idle cost of every burst, fanned
 // out over worker goroutines. Results are positional — out[i] is the cost of
 // bursts[i] — so any downstream reduction (including order-sensitive float
-// sums) sees exactly the sequence the serial loop would produce. Stateful
-// encoders are evaluated serially, as in ParallelTotalCost; workers <= 0
-// selects GOMAXPROCS.
+// sums) sees exactly the sequence the serial loop would produce. workers
+// <= 0 selects GOMAXPROCS.
 func ParallelCosts(enc Encoder, bursts []bus.Burst, workers int) []bus.Cost {
 	out := make([]bus.Cost, len(bursts))
 	// The kernel is immutable, so every range shares one compiled instance;
@@ -108,10 +89,6 @@ func ParallelCosts(enc Encoder, bursts []bus.Burst, workers int) []bus.Cost {
 		for i := lo; i < hi; i++ {
 			out[i] = k.Cost(bus.InitialLineState, bursts[i])
 		}
-	}
-	if !Stateless(enc) {
-		fill(0, len(bursts))
-		return out
 	}
 	parallelRanges(len(bursts), workers, fill)
 	return out

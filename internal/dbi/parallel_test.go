@@ -33,59 +33,23 @@ func TestParallelTotalCostEmpty(t *testing.T) {
 	}
 }
 
-// TestParallelTotalCostStatefulFallsBackSerial: a stateful encoder must be
-// evaluated serially — deterministically equal to TotalCost on a fresh
-// encoder with the same seed — instead of racing on its RNG. Run with
-// -race this is the regression test for the old "caller responsibility"
-// contract.
-func TestParallelTotalCostStatefulFallsBackSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(112))
-	bursts := make([]bus.Burst, 300)
-	for i := range bursts {
-		bursts[i] = randomBurst(rng, 8)
-	}
-	mk := func() Encoder {
-		n, err := NewNoisy(AC{}, 0.3, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	want := TotalCost(mk(), bursts)
-	for _, workers := range []int{0, 2, 8, 64} {
-		if got := ParallelTotalCost(mk(), bursts, workers); got != want {
-			t.Fatalf("workers=%d: stateful encoder not serialised: %+v != %+v", workers, got, want)
-		}
-	}
-}
-
 // TestParallelCostsMatchesSerial: positional per-burst costs are identical
-// to the serial loop for every worker count, stateful encoders included.
+// to the serial loop for every worker count, the generic EncodeInto
+// fallback included.
 func TestParallelCostsMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	bursts := make([]bus.Burst, 257)
 	for i := range bursts {
 		bursts[i] = randomBurst(rng, 8)
 	}
-	noisy, err := NewNoisy(DC{}, 0.2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisyRef, err := NewNoisy(DC{}, 0.2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		enc, ref Encoder
-	}{{DC{}, DC{}}, {OptFixed(), OptFixed()}, {noisy, noisyRef}} {
+	}{{DC{}, DC{}}, {OptFixed(), OptFixed()}, {thirdParty{}, thirdParty{}}} {
 		want := make([]bus.Cost, len(bursts))
 		for i, b := range bursts {
 			want[i] = CostOf(tc.ref, bus.InitialLineState, b)
 		}
 		for _, workers := range []int{0, 1, 3, 16} {
-			if !Stateless(tc.enc) && workers != 16 {
-				continue // stateful: one pass only, RNG order is the point
-			}
 			got := ParallelCosts(tc.enc, bursts, workers)
 			for i := range want {
 				if got[i] != want[i] {

@@ -54,11 +54,6 @@ const DefaultChunkFrames = 64
 // FrameSource in chunks, so whole traces never need to be materialised, and
 // all accounting is integer Cost, which makes the totals bit-identical to a
 // serial LaneSet replay of the same source regardless of scheduling.
-//
-// Stateful encoders (see Stateless) degrade to the serial path
-// automatically, preserving the exact frame-major, lane-minor evaluation
-// order a LaneSet would use; the pipeline is therefore safe by construction
-// for every encoder in this package, *Noisy included.
 type Pipeline struct {
 	enc     Encoder
 	kern    *Kernel // enc compiled for the pipeline's lane geometry
@@ -87,8 +82,8 @@ func WithChunkFrames(n int) PipelineOption {
 
 // NewPipeline returns a pipeline encoding frames of the given lane count
 // with enc. Like NewLaneSet it panics on a non-positive lane count; the
-// encoder value is shared across workers, which Run makes safe by falling
-// back to serial evaluation for stateful encoders.
+// encoder value is shared across workers, which the registration contract
+// (encoders are pure) makes safe.
 func NewPipeline(enc Encoder, lanes int, opts ...PipelineOption) *Pipeline {
 	if lanes <= 0 {
 		panic(fmt.Sprintf("dbi: lane count must be positive, got %d", lanes))
@@ -114,8 +109,7 @@ func (p *Pipeline) Encoder() Encoder { return p.enc }
 // Lanes returns the lane count the pipeline expects of every frame.
 func (p *Pipeline) Lanes() int { return p.lanes }
 
-// Workers returns the effective worker count Run will use for a stateless
-// encoder.
+// Workers returns the effective worker count Run will use.
 func (p *Pipeline) Workers() int {
 	w := p.workers
 	if w <= 0 {
@@ -163,7 +157,7 @@ func (p *Pipeline) Run(src FrameSource) (*PipelineResult, error) {
 	}
 	var frames int
 	var err error
-	if workers := p.Workers(); workers <= 1 || !p.kern.stateless {
+	if workers := p.Workers(); workers <= 1 {
 		frames, err = p.runSerial(src, streams)
 	} else {
 		frames, err = p.runSharded(src, streams, p.kern, workers)
@@ -188,9 +182,8 @@ func (p *Pipeline) Run(src FrameSource) (*PipelineResult, error) {
 // batches over one continuous per-lane state. The number of frames consumed
 // from src is returned.
 //
-// The lane set's own policy decides the path: stateful encoders (and
-// single-worker pipelines) run serially in LaneSet evaluation order.
-// Adaptive lane sets shard like stateless ones — each lane's adapter is
+// Single-worker pipelines run serially in LaneSet evaluation order.
+// Adaptive lane sets shard like static ones — each lane's adapter is
 // confined to its stream, so its window accounting and switch points carry
 // across chunk boundaries on the worker that owns the lane, and sharded
 // totals (and switch decisions) stay bit-identical to the serial replay.
@@ -201,7 +194,7 @@ func (p *Pipeline) RunLanes(src FrameSource, ls *LaneSet) (int, error) {
 		return 0, fmt.Errorf("dbi: lane set has %d lanes, pipeline has %d", ls.Lanes(), p.lanes)
 	}
 	workers := p.Workers()
-	if workers <= 1 || !ls.shardable() {
+	if workers <= 1 {
 		return p.runSerial(src, ls.lanes)
 	}
 	// ls.kern is nil for adaptive lane sets, which routes every frame
@@ -219,8 +212,7 @@ func (p *Pipeline) checkFrame(n int, f bus.Frame) error {
 }
 
 // runSerial is the single-goroutine path: frame-major, lane-minor, the
-// exact evaluation order of LaneSet.Transmit. Stateful encoders rely on
-// this order for determinism.
+// exact evaluation order of LaneSet.Transmit.
 func (p *Pipeline) runSerial(src FrameSource, streams []*Stream) (int, error) {
 	frames := 0
 	for {

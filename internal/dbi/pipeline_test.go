@@ -118,31 +118,6 @@ func TestPipelineStateContinuity(t *testing.T) {
 	}
 }
 
-// TestPipelineStatefulEncoderSerialFallback: a *Noisy encoder must take the
-// serial path and reproduce the LaneSet replay exactly (same RNG
-// consumption order), no matter the configured worker count. Meaningful
-// under -race as well: a racy fallback would trip the detector.
-func TestPipelineStatefulEncoderSerialFallback(t *testing.T) {
-	const frames, lanes = 24, 6
-	fs := randomFrames(99, frames, lanes, bus.BurstLength)
-	mk := func() Encoder {
-		n, err := NewNoisy(DC{}, 0.25, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	want := replaySerial(mk(), fs, lanes)
-	p := NewPipeline(mk(), lanes, WithWorkers(8), WithChunkFrames(4))
-	res, err := p.Run(FramesOf(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != want {
-		t.Fatalf("stateful pipeline %+v != serial replay %+v", res.Total, want)
-	}
-}
-
 // TestPipelineRunLanes: RunLanes must continue an existing LaneSet exactly —
 // interleaving single Transmits with pipelined batches over the same lane
 // set is bit-identical to one long serial replay, for any worker count.
@@ -179,30 +154,6 @@ func TestPipelineRunLanesMismatch(t *testing.T) {
 	p := NewPipeline(DC{}, 4)
 	if _, err := p.RunLanes(FramesOf(nil), NewLaneSet(DC{}, 3)); err == nil {
 		t.Fatal("lane-set width mismatch not reported")
-	}
-}
-
-// TestPipelineRunLanesStatefulFallback: RunLanes consults the lane set's own
-// policy for the serial fallback, so stateful encoders stay deterministic.
-func TestPipelineRunLanesStatefulFallback(t *testing.T) {
-	const frames, lanes = 12, 4
-	fs := randomFrames(17, frames, lanes, bus.BurstLength)
-	mk := func() Encoder {
-		n, err := NewNoisy(DC{}, 0.25, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	want := replaySerial(mk(), fs, lanes)
-	enc := mk()
-	p := NewPipeline(enc, lanes, WithWorkers(8))
-	ls := NewLaneSet(enc, lanes)
-	if _, err := p.RunLanes(FramesOf(fs), ls); err != nil {
-		t.Fatal(err)
-	}
-	if got := ls.TotalCost(); got != want {
-		t.Fatalf("stateful RunLanes %+v != serial replay %+v", got, want)
 	}
 }
 
@@ -291,25 +242,6 @@ func TestPipelineFramesOfEOF(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if _, err := src.NextFrame(); err != io.EOF {
 			t.Fatalf("read past end: err = %v, want io.EOF", err)
-		}
-	}
-}
-
-// TestStateless: the concurrency-safety classifier knows the stateful
-// encoders from the pure values.
-func TestStateless(t *testing.T) {
-	noisy, err := NewNoisy(AC{}, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Stateless(noisy) {
-		t.Error("Noisy classified stateless")
-	}
-	for _, enc := range []Encoder{Raw{}, DC{}, AC{}, ACDC{}, Greedy{Weights: FixedWeights},
-		Opt{Weights: FixedWeights}, OptFixed(), Quantized{Alpha: 3, Beta: 5},
-		Exhaustive{Weights: FixedWeights}} {
-		if !Stateless(enc) {
-			t.Errorf("%s classified stateful", enc.Name())
 		}
 	}
 }

@@ -21,7 +21,8 @@ var (
 // sensitive and conventionally upper case. Register panics on an empty name
 // or a duplicate registration: both are programming errors, and failing
 // loudly at init time beats one package silently shadowing another's
-// scheme.
+// scheme. Every factory must return a pure encoder (see Encoder):
+// TestRegisteredSchemesArePure holds each registered scheme to it.
 func Register(name string, f Factory) {
 	if name == "" {
 		panic("dbi: Register with empty scheme name")

@@ -3,8 +3,12 @@ package dbi
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"dbiopt/internal/bus"
 )
 
 // TestLookupUnknownNameListsRegistry: the unknown-name error must carry the
@@ -115,6 +119,60 @@ func TestQuantizeWeightsBitsRange(t *testing.T) {
 	}
 	if w.Alpha != 1 || w.Beta != 1 {
 		t.Errorf("1-bit quantisation of 1:1 = %+v, want 1:1", w)
+	}
+}
+
+// TestRegisteredSchemesArePure holds every registered scheme — the
+// built-ins and the EncodeInto-only third-party probe alike — to the
+// registration contract: an encoder is a pure function of (prev, burst,
+// weights). Over random (prev, burst) pairs of 0-200 beats, one instance
+// reused in sequence order, the same instance walked in reverse order and
+// a fresh Lookup per call must return identical flags. A scheme carrying
+// hidden state (an RNG, a history of earlier bursts) diverges between the
+// walks.
+func TestRegisteredSchemesArePure(t *testing.T) {
+	type pair struct {
+		prev bus.LineState
+		b    bus.Burst
+	}
+	rng := rand.New(rand.NewSource(67))
+	pairs := make([]pair, 40)
+	for i := range pairs {
+		pairs[i] = pair{randomState(rng), randomBurst(rng, rng.Intn(201))}
+	}
+	for _, w := range []Weights{FixedWeights, {Alpha: 0.4, Beta: 0.6}, {Alpha: 3, Beta: 5}} {
+		for _, name := range Names() {
+			shared, err := Lookup(name, w)
+			if err != nil {
+				continue // weights this scheme refuses (validated elsewhere)
+			}
+			_, brute := shared.(Exhaustive)
+			burst := func(p pair) bus.Burst {
+				if brute && len(p.b) > 12 {
+					return p.b[:12] // brute force: keep the sweep fast
+				}
+				return p.b
+			}
+			forward := make([][]bool, len(pairs))
+			for i, p := range pairs {
+				forward[i] = shared.EncodeInto(nil, p.prev, burst(p))
+			}
+			for i := len(pairs) - 1; i >= 0; i-- {
+				p := pairs[i]
+				if got := shared.EncodeInto(nil, p.prev, burst(p)); !slices.Equal(got, forward[i]) {
+					t.Fatalf("%s w=%+v pair %d (%d beats): reverse walk %v != forward walk %v",
+						name, w, i, len(burst(p)), got, forward[i])
+				}
+				fresh, err := Lookup(name, w)
+				if err != nil {
+					t.Fatalf("%s w=%+v: second Lookup failed: %v", name, w, err)
+				}
+				if got := fresh.EncodeInto(nil, p.prev, burst(p)); !slices.Equal(got, forward[i]) {
+					t.Fatalf("%s w=%+v pair %d (%d beats): fresh instance %v != shared instance %v",
+						name, w, i, len(burst(p)), got, forward[i])
+				}
+			}
+		}
 	}
 }
 

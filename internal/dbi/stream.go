@@ -27,11 +27,6 @@ type Adapter interface {
 	// Reset returns the adapter to its initial state (shadow chains,
 	// windows, live scheme), mirroring Stream.Reset.
 	Reset()
-	// Shardable reports whether the adapter (and every scheme it may
-	// select) is safe to drive from a dedicated per-lane-range goroutine,
-	// the pipeline's sharding model. Adapter state itself is always
-	// lane-confined; this is about the candidate encoders.
-	Shardable() bool
 }
 
 // KernelAdapter is an Adapter that holds pre-compiled kernels for its
@@ -54,7 +49,7 @@ type KernelAdapter interface {
 // transmitted, which is what the energy models consume.
 //
 // Stream owns reusable encode scratch, so steady-state Transmit performs
-// zero heap allocations for every stateless scheme.
+// zero heap allocations for every built-in scheme.
 type Stream struct {
 	// kern is the compiled form of the stream's scheme: every encode
 	// decision (mask routing, trellis flavour, coefficients) was made once
@@ -122,16 +117,6 @@ func (s *Stream) Encoder() Encoder {
 // streams.
 func (s *Stream) Adapter() Adapter { return s.adapter }
 
-// shardable reports whether this stream may be driven by a pipeline worker
-// goroutine: its encode state must be confined to the stream (and its
-// adapter) itself.
-func (s *Stream) shardable() bool {
-	if s.adapter != nil {
-		return s.adapter.Shardable()
-	}
-	return s.kern.stateless
-}
-
 // State returns the current wire state of the lane.
 func (s *Stream) State() bus.LineState { return s.state }
 
@@ -143,8 +128,9 @@ func (s *Stream) State() bus.LineState { return s.state }
 // fill, cost and state in one straight-line pass); other mask-native
 // schemes keep the inversion pattern packed in one register (or a
 // bus.WideMask word per 64 beats past bus.MaxMaskBeats) and fill the wire
-// branch-free; only schemes without any mask form (the *Noisy wrapper)
-// take the []bool path, bit-identical by the kernel equivalence contracts.
+// branch-free; only schemes without a mask form for the burst (third-party
+// registrations, GREEDY and EXHAUSTIVE at non-dyadic weights) take the
+// []bool path, bit-identical by the kernel equivalence contracts.
 // For adaptive streams the kernel comes from the adapter (pre-compiled per
 // candidate when it is a KernelAdapter); nothing is probed per burst.
 //
@@ -244,8 +230,8 @@ type LaneSet struct {
 }
 
 // NewLaneSet creates n independent streams sharing one policy, compiled
-// once for the lane geometry. The policy value is shared; all provided
-// encoders are stateless, so this is safe.
+// once for the lane geometry. The policy value is shared, which the
+// registration contract (encoders are pure) makes safe.
 func NewLaneSet(enc Encoder, n int) *LaneSet {
 	if n <= 0 {
 		panic(fmt.Sprintf("dbi: lane count must be positive, got %d", n))
@@ -280,17 +266,6 @@ func NewAdaptiveLaneSet(mk func(lane int) Adapter, n int) *LaneSet {
 		ls.lanes[i] = NewAdaptiveStream(mk(i))
 	}
 	return ls
-}
-
-// shardable reports whether every lane of the set may be driven from a
-// pipeline worker goroutine.
-func (ls *LaneSet) shardable() bool {
-	for _, l := range ls.lanes {
-		if !l.shardable() {
-			return false
-		}
-	}
-	return true
 }
 
 // Lanes returns the number of lanes.

@@ -31,7 +31,7 @@ func randomWideBurst(rng *rand.Rand, n int) (bus.LineState, bus.Burst) {
 }
 
 // TestEncodeMaskWordsMatchesEncodeInto pins the wide-path contract for every
-// registered scheme: whenever EncodeMaskWords accepts a burst, its pattern —
+// registered scheme with a fast path: whenever EncodeMaskWords accepts a burst, its pattern —
 // and the wide cost and final state derived from it — must be bit-identical
 // to the []bool EncodeInto oracle, across every length boundary.
 func TestEncodeMaskWordsMatchesEncodeInto(t *testing.T) {
@@ -40,11 +40,8 @@ func TestEncodeMaskWordsMatchesEncodeInto(t *testing.T) {
 	for _, w := range wideTestWeights {
 		for _, name := range Names() {
 			enc, err := Lookup(name, w)
-			if err != nil {
-				continue // weights this scheme refuses (validated elsewhere)
-			}
-			if !Stateless(enc) {
-				continue
+			if err != nil || name == thirdPartyName {
+				continue // refused weights (validated elsewhere), or no fast path
 			}
 			we, ok := enc.(WideMaskEncoder)
 			if !ok {
@@ -86,7 +83,7 @@ func TestEncodeMaskWordsMatchesEncodeMask(t *testing.T) {
 	for _, w := range wideTestWeights {
 		for _, name := range Names() {
 			enc, err := Lookup(name, w)
-			if err != nil || !Stateless(enc) {
+			if err != nil || name == thirdPartyName {
 				continue
 			}
 			me, we := maskEncoderOf(enc), wideMaskEncoderOf(enc)
@@ -131,12 +128,8 @@ func TestEncodeWideMaskOf(t *testing.T) {
 			t.Fatalf("beat %d: %v != %v", t2, m.Bit(t2), inv[t2])
 		}
 	}
-	noisy, err := NewNoisy(Raw{}, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if EncodeWideMaskOf(noisy, prev, b, &m) {
-		t.Fatal("Noisy claimed a wide fast path")
+	if EncodeWideMaskOf(thirdParty{}, prev, b, &m) {
+		t.Fatal("EncodeInto-only scheme claimed a wide fast path")
 	}
 }
 

@@ -19,9 +19,6 @@ import (
 //	   weighted heuristics of Chang et al.: the greedy-vs-optimal gap.
 //	BurstLengthAblation — how the advantage scales with burst length
 //	   (GDDR5X BL8 vs. BL16 and hypothetical lengths).
-//	WindowAblation — what joint encoding across burst boundaries would add
-//	   (the paper encodes each burst independently; its conclusions mention
-//	   integrating DBI OPT into future memories).
 
 // CoeffBitsResult reports, per coefficient width, the mean relative excess
 // cost of the quantised optimal encoder over the true optimum, worst-cased
@@ -175,57 +172,4 @@ func BurstLengthAblation(cfg Config, lengths []int) (BurstLenResult, error) {
 		out.Advantage = append(out.Advantage, 1-optSum/best)
 	}
 	return out, nil
-}
-
-// WindowResult reports energy per burst when w consecutive bursts are
-// encoded jointly (window 1 = the paper's per-burst encoding).
-type WindowResult struct {
-	Windows []int
-	// Energy[i] is the mean weighted cost per burst at alpha = 0.5.
-	Energy []float64
-}
-
-// WindowAblation measures what cross-burst joint encoding adds over the
-// paper's per-burst scheme. Joint encoding concatenates w bursts into one
-// trellis, letting the DP trade an expensive exit state in one burst for
-// savings in the next — the natural "future work" extension of the paper.
-// The line state persists across windows, as on a real bus.
-func WindowAblation(cfg Config, windows []int) (WindowResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return WindowResult{}, err
-	}
-	const alpha, beta = 0.5, 0.5
-	w := dbi.Weights{Alpha: alpha, Beta: beta}
-	enc := scheme("OPT", w)
-	var out WindowResult
-	for _, win := range windows {
-		if win <= 0 {
-			return WindowResult{}, fmt.Errorf("experiments: window must be positive, got %d", win)
-		}
-		src := trace.NewUniform(cfg.Seed)
-		state := bus.InitialLineState
-		var total float64
-		count := cfg.Bursts - cfg.Bursts%win // whole windows only
-		for i := 0; i < count; i += win {
-			joint := make(bus.Burst, 0, win*cfg.Beats)
-			for j := 0; j < win; j++ {
-				joint = append(joint, src.Next(cfg.Beats)...)
-			}
-			wire := dbi.EncodeWire(enc, state, joint)
-			total += w.Cost(wire.Cost(state))
-			state = wire.FinalState(state)
-		}
-		out.Windows = append(out.Windows, win)
-		out.Energy = append(out.Energy, total/float64(count))
-	}
-	return out, nil
-}
-
-// Improvement returns the relative saving of the largest window over
-// per-burst encoding.
-func (r WindowResult) Improvement() float64 {
-	if len(r.Energy) < 2 || r.Energy[0] == 0 {
-		return 0
-	}
-	return 1 - r.Energy[len(r.Energy)-1]/r.Energy[0]
 }

@@ -277,13 +277,26 @@ func (r SweepResult) MaxAdvantage(series []float64) (saving, atAlpha float64) {
 	return saving, atAlpha
 }
 
-// Crossover returns the smallest alpha at which AC becomes cheaper than DC
-// (the paper finds 0.56 on uniform data).
+// Crossover returns the alpha at which AC becomes cheaper than DC (the
+// paper finds 0.56 on uniform data): the first grid point where AC < DC,
+// moved back along the straight line through it and its predecessor to
+// where AC - DC reaches zero. NaN if AC never drops below DC.
 func (r SweepResult) Crossover() float64 {
 	for i := range r.Alphas {
 		if r.AC[i] < r.DC[i] {
-			return r.Alphas[i]
+			return crossing(r.Alphas, r.AC, r.DC, i)
 		}
 	}
 	return math.NaN()
+}
+
+// crossing interpolates where a - b reaches zero between grid points i-1
+// and i, given a[i-1] >= b[i-1] and a[i] <= b[i] with at least one strict;
+// at i == 0 there is no bracket and xs[0] is returned.
+func crossing(xs, a, b []float64, i int) float64 {
+	if i == 0 {
+		return xs[0]
+	}
+	d0, d1 := a[i-1]-b[i-1], a[i]-b[i]
+	return xs[i-1] + (xs[i]-xs[i-1])*d0/(d0-d1)
 }

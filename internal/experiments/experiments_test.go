@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -196,5 +197,46 @@ func TestDeterminism(t *testing.T) {
 		if a.Opt[i] != b.Opt[i] || a.DC[i] != b.DC[i] {
 			t.Fatalf("non-deterministic at point %d", i)
 		}
+	}
+}
+
+// TestCrossoverInterpolates pins both landmark crossings on synthetic
+// curves with known crossing points: each reports where the straight line
+// between the bracketing grid points reaches zero difference, not the
+// first grid point past it.
+func TestCrossoverInterpolates(t *testing.T) {
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
+	sweep := SweepResult{
+		Alphas: []float64{0.5, 0.6, 0.7},
+		DC:     []float64{1, 1, 1},
+		AC:     []float64{1.2, 0.9, 0.5}, // AC-DC: +0.2, -0.1 -> zero at 0.5 + 0.1*2/3
+	}
+	if got := sweep.Crossover(); !near(got, 0.5+0.1*2/3.0) {
+		t.Errorf("sweep crossover = %v, want %v", got, 0.5+0.1*2/3.0)
+	}
+	sweep.AC = []float64{0.9, 0.8, 0.7} // below DC from the first point: no bracket
+	if got := sweep.Crossover(); got != 0.5 {
+		t.Errorf("unbracketed sweep crossover = %v, want the first alpha 0.5", got)
+	}
+	sweep.AC = []float64{1.1, 1.0, 1.2} // touches DC but never drops below it
+	if got := sweep.Crossover(); !math.IsNaN(got) {
+		t.Errorf("sweep without crossing = %v, want NaN", got)
+	}
+
+	rate := RateResult{
+		RatesGbps: []float64{2, 3, 4, 5},
+		DC:        []float64{1, 1, 1, 1},
+		OptFixed:  []float64{1.3, 1.1, 0.9, 0.8}, // +0.1, -0.1 -> zero at 3.5
+	}
+	if got := rate.DCOptFixedCrossover(); !near(got, 3.5) {
+		t.Errorf("rate crossover = %v, want 3.5", got)
+	}
+	rate.OptFixed = []float64{1.3, 1.0, 0.9, 0.8} // meets DC exactly on the grid
+	if got := rate.DCOptFixedCrossover(); got != 3 {
+		t.Errorf("on-grid rate crossover = %v, want 3", got)
+	}
+	rate.OptFixed = []float64{1.3, 1.2, 1.1, 1.05}
+	if got := rate.DCOptFixedCrossover(); !math.IsNaN(got) {
+		t.Errorf("rate sweep without crossing = %v, want NaN", got)
 	}
 }

@@ -113,13 +113,14 @@ func (r RateResult) Plot(title string) *stats.Plot {
 	return p
 }
 
-// DCOptFixedCrossover returns the lowest data rate in Gbps at which OPT
-// (Fixed) becomes at least as cheap as DBI DC (the paper finds 3.8 Gbps at
-// 3 pF).
+// DCOptFixedCrossover returns the data rate in Gbps at which OPT (Fixed)
+// becomes as cheap as DBI DC (the paper finds 3.8 Gbps at 3 pF), linearly
+// interpolated between the first grid rate where OPT (Fixed) <= DC and the
+// rate before it. NaN if OPT (Fixed) never reaches DC.
 func (r RateResult) DCOptFixedCrossover() float64 {
 	for i := range r.RatesGbps {
 		if r.OptFixed[i] <= r.DC[i] {
-			return r.RatesGbps[i]
+			return crossing(r.RatesGbps, r.OptFixed, r.DC, i)
 		}
 	}
 	return math.NaN()

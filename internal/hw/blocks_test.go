@@ -316,11 +316,4 @@ func TestNetlistStats(t *testing.T) {
 	if n.NumInputs() != 2 || n.NumOutputs() != 1 {
 		t.Error("port counts wrong")
 	}
-	if got := n.SignalName(a); got != "a" {
-		t.Errorf("SignalName = %q", got)
-	}
-	n.Label(3, "custom")
-	if got := n.SignalName(3); got != "custom" {
-		t.Errorf("SignalName = %q", got)
-	}
 }

@@ -136,16 +136,7 @@ const optWidth = 8
 // is hard-wired, as in the paper.
 func BuildOptFixed(beats int) *Design {
 	n := NewNetlist("dbi-opt-fixed")
-	buildOptDatapath(n, beats, nil, nil, optWidth, 0)
-	return &Design{Netlist: n, Beats: beats, PipelineRegisters: 2*optWidth + beats + 8}
-}
-
-// BuildOptFixedFast is BuildOptFixed with the path-register adders replaced
-// by carry-select adders of the given block size — the timing-driven
-// variant a synthesis tool converges to, used by the adder ablation.
-func BuildOptFixedFast(beats, blockBits int) *Design {
-	n := NewNetlist("dbi-opt-fixed-csel")
-	buildOptDatapath(n, beats, nil, nil, optWidth, blockBits)
+	buildOptDatapath(n, beats, nil, nil, optWidth)
 	return &Design{Netlist: n, Beats: beats, PipelineRegisters: 2*optWidth + beats + 8}
 }
 
@@ -158,15 +149,13 @@ func BuildOpt3Bit(beats int) *Design {
 	alpha := n.InputBus("alpha", CoefficientWidth)
 	beta := n.InputBus("beta", CoefficientWidth)
 	const w = 11
-	buildOptDatapath(n, beats, alpha, beta, w, 0)
+	buildOptDatapath(n, beats, alpha, beta, w)
 	return &Design{Netlist: n, Beats: beats, PipelineRegisters: 2*w + beats + 14, hasCoef: true}
 }
 
 // buildOptDatapath emits the shared trellis datapath. alpha/beta nil means
 // fixed unit coefficients (no multipliers). width is the path-cost width.
-// fastBlock > 0 swaps the path-register adders for carry-select adders of
-// that block size.
-func buildOptDatapath(n *Netlist, beats int, alpha, beta Bus, width, fastBlock int) {
+func buildOptDatapath(n *Netlist, beats int, alpha, beta Bus, width int) {
 	bytes := make([]Bus, beats)
 	for i := range bytes {
 		bytes[i] = n.InputBus(fmt.Sprintf("byte%d", i), 8)
@@ -178,12 +167,7 @@ func buildOptDatapath(n *Netlist, beats int, alpha, beta Bus, width, fastBlock i
 		}
 		return n.ZeroExtend(n.MulConst(v, coef), width)
 	}
-	add := func(a, b Bus) Bus {
-		if fastBlock > 0 {
-			return n.AddFastTrunc(a, b, width, fastBlock)
-		}
-		return n.AddTrunc(a, b, width)
-	}
+	add := func(a, b Bus) Bus { return n.AddTrunc(a, b, width) }
 
 	// Running path costs for the plain and inverted state of the previous
 	// beat, plus the per-beat select bits for backtracking.

@@ -155,17 +155,6 @@ func (n *Netlist) Xnor(a, b Signal) Signal { return n.add(CellXnor2, a, b, -1) }
 // Mux returns sel ? b : a.
 func (n *Netlist) Mux(sel, a, b Signal) Signal { return n.add(CellMux2, a, b, sel) }
 
-// Label attaches a diagnostic name to an internal signal.
-func (n *Netlist) Label(s Signal, name string) { n.labels[s] = name }
-
-// SignalName returns the label of s, or a positional fallback.
-func (n *Netlist) SignalName(s Signal) string {
-	if name, ok := n.labels[s]; ok {
-		return name
-	}
-	return fmt.Sprintf("n%d", s)
-}
-
 // Freeze finalises the netlist: computes fanout counts and forbids further
 // modification. Analysis entry points call it implicitly.
 func (n *Netlist) Freeze() {
